@@ -21,7 +21,6 @@ from .embeddings import (
     Vocabulary,
     build_embedding_matrix,
     build_vocabulary,
-    encode_batch,
     load_embeddings,
 )
 from .evaluation import confusion, report
@@ -31,8 +30,7 @@ from .models import (
     ARCH_CNN,
     BUILDERS,
     encode_dataset,
-    ensemble_proba,
-    label_for,
+    ensemble_predict,
 )
 from .nn import (
     TrainConfig,
@@ -310,16 +308,12 @@ def cmd_predict(args) -> int:
                 f"(same --split-seed and --validation-fraction)"
             )
 
-    vocab = Vocabulary(vocabulary0)
-    token_lists = [preprocess_pipeline(r.text, pre.table, pre.dictionary) for r in dataset]
-    X, lengths = encode_batch(token_lists, vocab, max_len0)
-    member_probs = [predict_proba(model, X, lengths) for model, _, _ in loaded]
-    probs = ensemble_proba(member_probs)
-
+    results = ensemble_predict([model for model, _, _ in loaded], dataset,
+                               Vocabulary(vocabulary0), pre, max_len0, threshold)
     with out.open("w", encoding="utf-8") as fh:
-        for record, p in zip(dataset, probs):
-            fh.write(f"{record.id}\t{p:.6f}\t{label_for(float(p), threshold)}\n")
-    logger.info("wrote %d prediction(s) to %s", len(dataset), out)
+        for r in results:
+            fh.write(f"{r.id}\t{r.probability:.6f}\t{r.label}\n")
+    logger.info("wrote %d prediction(s) to %s", len(results), out)
     return EXIT_OK
 
 

@@ -21,7 +21,6 @@ from .layers import (
     Parameter,
     ShapeError,
     length_mask,
-    word_dropout,
 )
 from .losses import bce_loss, bce_loss_grad
 from .optim import Adam
@@ -67,5 +66,4 @@ __all__ = [
     "predict_proba",
     "save_model",
     "train",
-    "word_dropout",
 ]

@@ -70,17 +70,6 @@ def dropout_mask(rng, shape, rate, dtype):
     return keep / (1.0 - rate)
 
 
-def word_dropout(embedded, rate, rng, train=True):
-    """Zero whole timestep vectors with probability ``rate`` (train only).
-
-    Survivors are rescaled by 1/(1-rate); at inference this is the identity.
-    """
-    if not train or rate == 0.0:
-        return embedded
-    mask = dropout_mask(rng, embedded.shape[:-1], rate, embedded.dtype)
-    return embedded * mask[..., None]
-
-
 class Layer:
     def __init__(self):
         self._cache = None
@@ -368,7 +357,6 @@ class AdditiveAttention(Layer):
         )
         self.bias = Parameter("attn_b", np.zeros(units, dtype=dtype))
         self.score = Parameter("attn_v", glorot_uniform(rng, (units,), units, 1, dtype))
-        self.last_weights = None  # (batch, steps) softmax weights of the last forward
 
     def parameters(self):
         return [self.weights, self.bias, self.score]
@@ -385,7 +373,6 @@ class AdditiveAttention(Layer):
         weights = np.exp(scores)
         weights = weights / weights.sum(axis=1, keepdims=True)
         context = (weights[:, :, None] * x).sum(axis=1)
-        self.last_weights = weights
         if train:
             self._cache = (x, u, weights)
         return context, None
@@ -480,105 +467,6 @@ def _lstm_direction_backward(douts, dh_final, cache, x, W, U):
     return dx, dW, dU, db
 
 
-class BiLSTM(Layer):
-    """Bidirectional LSTM; forget-gate bias starts at 1.
-
-    ``dropout`` zeroes input connections with one mask per direction shared
-    across timesteps (training only). ``return_sequences`` selects the full
-    (B, L, 2u) output or the final states (B, 2u).
-    """
-
-    def __init__(self, in_dim, units, dropout=0.0, return_sequences=True, rng=None,
-                 dtype=np.float32):
-        super().__init__()
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
-        self.in_dim = int(in_dim)
-        self.units = int(units)
-        self.dropout = float(dropout)
-        self.return_sequences = bool(return_sequences)
-        self.params = {}
-        for tag in ("fw", "bw"):
-            W = glorot_uniform(rng, (in_dim, 4 * units), in_dim, 4 * units, dtype)
-            U = glorot_uniform(rng, (units, 4 * units), units, 4 * units, dtype)
-            b = np.zeros(4 * units, dtype=dtype)
-            b[units : 2 * units] = 1.0
-            self.params[tag] = (
-                Parameter(f"lstm_{tag}_W", W),
-                Parameter(f"lstm_{tag}_U", U),
-                Parameter(f"lstm_{tag}_b", b),
-            )
-
-    def parameters(self):
-        return [p for tag in ("fw", "bw") for p in self.params[tag]]
-
-    def _direction_inputs(self, x, train, rng):
-        masks = {}
-        inputs = {}
-        for tag in ("fw", "bw"):
-            if train and self.dropout > 0.0:
-                mask = dropout_mask(rng, (x.shape[0], 1, x.shape[2]), self.dropout, x.dtype)
-                masks[tag] = mask
-                inputs[tag] = x * mask
-            else:
-                masks[tag] = None
-                inputs[tag] = x
-        return inputs, masks
-
-    def forward(self, x, lengths, train=False, rng=None):
-        if x.shape[2] != self.in_dim:
-            raise ShapeError(f"expected {self.in_dim} input features, got {x.shape[2]}")
-        inputs, masks = self._direction_inputs(x, train, rng)
-        caches = {}
-        outs = {}
-        finals = {}
-        for tag, reverse in (("fw", False), ("bw", True)):
-            W, U, b = (p.value for p in self.params[tag])
-            outs[tag], finals[tag], caches[tag] = _lstm_direction_forward(
-                inputs[tag], lengths, W, U, b, reverse
-            )
-        if self.return_sequences:
-            y = np.concatenate([outs["fw"], outs["bw"]], axis=2)
-            out_lengths = lengths
-        else:
-            y = np.concatenate([finals["fw"], finals["bw"]], axis=1)
-            out_lengths = None
-        if train:
-            self._cache = (inputs, masks, caches, x.shape)
-        return y, out_lengths
-
-    def backward(self, grad):
-        inputs, masks, caches, x_shape = self._take_cache()
-        batch, steps, _ = x_shape
-        dx = np.zeros(x_shape, dtype=grad.dtype)
-        for k, tag in enumerate(("fw", "bw")):
-            if self.return_sequences:
-                douts = grad[:, :, k * self.units : (k + 1) * self.units]
-                dh_final = None
-            else:
-                douts = np.zeros((batch, steps, self.units), dtype=grad.dtype)
-                dh_final = grad[:, k * self.units : (k + 1) * self.units]
-            W, U, _ = (p.value for p in self.params[tag])
-            dxi, dW, dU, db = _lstm_direction_backward(
-                douts, dh_final, caches[tag], inputs[tag], W, U
-            )
-            pW, pU, pb = self.params[tag]
-            pW.grad += dW
-            pU.grad += dU
-            pb.grad += db
-            dx += dxi if masks[tag] is None else dxi * masks[tag]
-        return dx
-
-    def config(self):
-        return {
-            "type": "bilstm",
-            "in_dim": self.in_dim,
-            "units": self.units,
-            "dropout": self.dropout,
-            "return_sequences": self.return_sequences,
-        }
-
-
 def _gru_direction_forward(x, lengths, W, U, b, reverse):
     """One GRU direction. Gate order: update, reset, candidate.
 
@@ -643,26 +531,43 @@ def _gru_direction_backward(douts, dh_final, cache, x, W, U):
     return dx, dW, dU, db
 
 
-class BiGRU(Layer):
-    """Bidirectional GRU returning the full output sequence."""
+class Bidirectional(Layer):
+    """A recurrent cell run forward and backward in time, states concatenated.
 
-    def __init__(self, in_dim, units, dropout=0.0, rng=None, dtype=np.float32):
+    Subclasses give the cell: ``prefix`` (parameter names ``<prefix>_fw_W``
+    ... and config type ``bi<prefix>``), ``gates`` (gate blocks per weight
+    matrix), ``initial_bias`` and the per-direction ``direction_forward`` /
+    ``direction_backward`` functions. ``dropout`` zeroes input connections
+    with one mask per direction shared across timesteps (training only).
+    ``return_sequences`` selects the full (B, L, 2u) output or the final
+    states (B, 2u).
+    """
+
+    prefix: str
+    gates: int
+
+    def __init__(self, in_dim, units, dropout=0.0, return_sequences=True, rng=None,
+                 dtype=np.float32):
         super().__init__()
         if not 0.0 <= dropout < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
         self.in_dim = int(in_dim)
         self.units = int(units)
         self.dropout = float(dropout)
+        self.return_sequences = bool(return_sequences)
+        width = self.gates * units
         self.params = {}
         for tag in ("fw", "bw"):
-            W = glorot_uniform(rng, (in_dim, 3 * units), in_dim, 3 * units, dtype)
-            U = glorot_uniform(rng, (units, 3 * units), units, 3 * units, dtype)
-            b = np.zeros(3 * units, dtype=dtype)
+            W = glorot_uniform(rng, (in_dim, width), in_dim, width, dtype)
+            U = glorot_uniform(rng, (units, width), units, width, dtype)
             self.params[tag] = (
-                Parameter(f"gru_{tag}_W", W),
-                Parameter(f"gru_{tag}_U", U),
-                Parameter(f"gru_{tag}_b", b),
+                Parameter(f"{self.prefix}_{tag}_W", W),
+                Parameter(f"{self.prefix}_{tag}_U", U),
+                Parameter(f"{self.prefix}_{tag}_b", self.initial_bias(dtype)),
             )
+
+    def initial_bias(self, dtype):
+        return np.zeros(self.gates * self.units, dtype=dtype)
 
     def parameters(self):
         return [p for tag in ("fw", "bw") for p in self.params[tag]]
@@ -670,49 +575,77 @@ class BiGRU(Layer):
     def forward(self, x, lengths, train=False, rng=None):
         if x.shape[2] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input features, got {x.shape[2]}")
-        inputs = {}
-        masks = {}
-        for tag in ("fw", "bw"):
+        masks, inputs, caches, outs, finals = {}, {}, {}, {}, {}
+        for tag in ("fw", "bw"):  # draw both masks first: trained weights depend on the order
+            masks[tag] = None
             if train and self.dropout > 0.0:
-                mask = dropout_mask(rng, (x.shape[0], 1, x.shape[2]), self.dropout, x.dtype)
-                masks[tag] = mask
-                inputs[tag] = x * mask
-            else:
-                masks[tag] = None
-                inputs[tag] = x
-        caches = {}
-        outs = {}
+                masks[tag] = dropout_mask(rng, (x.shape[0], 1, x.shape[2]), self.dropout, x.dtype)
+            inputs[tag] = x if masks[tag] is None else x * masks[tag]
         for tag, reverse in (("fw", False), ("bw", True)):
             W, U, b = (p.value for p in self.params[tag])
-            outs[tag], _, caches[tag] = _gru_direction_forward(
+            outs[tag], finals[tag], caches[tag] = self.direction_forward(
                 inputs[tag], lengths, W, U, b, reverse
             )
-        y = np.concatenate([outs["fw"], outs["bw"]], axis=2)
+        if self.return_sequences:
+            y, out_lengths = np.concatenate([outs["fw"], outs["bw"]], axis=2), lengths
+        else:
+            y, out_lengths = np.concatenate([finals["fw"], finals["bw"]], axis=1), None
         if train:
             self._cache = (inputs, masks, caches, x.shape)
-        return y, lengths
+        return y, out_lengths
 
     def backward(self, grad):
         inputs, masks, caches, x_shape = self._take_cache()
+        batch, steps, _ = x_shape
         dx = np.zeros(x_shape, dtype=grad.dtype)
         for k, tag in enumerate(("fw", "bw")):
-            douts = grad[:, :, k * self.units : (k + 1) * self.units]
+            if self.return_sequences:
+                douts = grad[:, :, k * self.units : (k + 1) * self.units]
+                dh_final = None
+            else:
+                douts = np.zeros((batch, steps, self.units), dtype=grad.dtype)
+                dh_final = grad[:, k * self.units : (k + 1) * self.units]
             W, U, _ = (p.value for p in self.params[tag])
-            dxi, dW, dU, db = _gru_direction_backward(douts, None, caches[tag], inputs[tag], W, U)
-            pW, pU, pb = self.params[tag]
-            pW.grad += dW
-            pU.grad += dU
-            pb.grad += db
+            dxi, *grads = self.direction_backward(douts, dh_final, caches[tag], inputs[tag], W, U)
+            for p, g in zip(self.params[tag], grads):
+                p.grad += g
             dx += dxi if masks[tag] is None else dxi * masks[tag]
         return dx
 
     def config(self):
         return {
-            "type": "bigru",
+            "type": f"bi{self.prefix}",
             "in_dim": self.in_dim,
             "units": self.units,
             "dropout": self.dropout,
         }
+
+
+class BiLSTM(Bidirectional):
+    """Bidirectional LSTM; forget-gate bias starts at 1."""
+
+    prefix, gates = "lstm", 4
+    direction_forward = staticmethod(_lstm_direction_forward)
+    direction_backward = staticmethod(_lstm_direction_backward)
+
+    def initial_bias(self, dtype):
+        b = super().initial_bias(dtype)
+        b[self.units : 2 * self.units] = 1.0
+        return b
+
+    def config(self):
+        return {**super().config(), "return_sequences": self.return_sequences}
+
+
+class BiGRU(Bidirectional):
+    """Bidirectional GRU returning the full output sequence."""
+
+    prefix, gates = "gru", 3
+    direction_forward = staticmethod(_gru_direction_forward)
+    direction_backward = staticmethod(_gru_direction_backward)
+
+    def __init__(self, in_dim, units, dropout=0.0, rng=None, dtype=np.float32):
+        super().__init__(in_dim, units, dropout, True, rng, dtype)
 
 
 class ParallelConcat(Layer):

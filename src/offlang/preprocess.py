@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterable
 
@@ -213,9 +211,3 @@ def preprocess_pipeline(
         else:
             expanded.append(token)
     return normalize(expanded, table)
-
-
-@lru_cache(maxsize=1)
-def default_normalization_file() -> Path:
-    """Path of the shipped, user-extensible normalization table."""
-    return Path(str(importlib_resources.files("offlang.resources") / "normalization.tsv"))

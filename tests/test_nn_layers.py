@@ -11,8 +11,9 @@ from offlang.nn import (
     Dropout,
     Embedding,
     MaxOverTime,
+    ParallelConcat,
+    Parameter,
     ShapeError,
-    word_dropout,
 )
 
 
@@ -69,16 +70,23 @@ def test_fully_padded_row_falls_back_to_position_zero():
 
 def test_attention_weights_sum_to_one_and_mask_padding():
     layer = AdditiveAttention(3, 4, rng=rng(2), dtype=np.float64)
-    x = rng(3).normal(size=(4, 6, 3))
-    lengths = np.array([6, 3, 1, 0])
-    layer.forward(x, lengths)
-    w = layer.last_weights
-    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(w >= 0)
-    assert np.all(w[1, 3:] == 0.0)
-    assert np.all(w[2, 1:] == 0.0)
+    x = rng(3).normal(size=(5, 6, 3))
+    x[4] = [0.5, -2.0, 3.0]  # constant over time
+    lengths = np.array([6, 3, 1, 0, 4])
+    y, _ = layer.forward(x, lengths)
+    # padded positions get zero weight: changing them leaves the output as is
+    x_noisy = x.copy()
+    x_noisy[1, 3:] = rng(4).normal(size=(3, 3)) * 100.0
+    x_noisy[2, 1:] = rng(5).normal(size=(5, 3)) * 100.0
+    x_noisy[3, 1:] = 123.0
+    y_noisy, _ = layer.forward(x_noisy, lengths)
+    assert np.array_equal(y, y_noisy)
+    # non-negative weights summing to one map a constant row to that constant
+    assert np.allclose(y[4], [0.5, -2.0, 3.0], atol=1e-12)
+    # a single valid position takes all the weight
+    assert np.array_equal(y[2], x[2, 0])
     # fully padded row: all attention on the fallback position 0
-    assert w[3, 0] == 1.0 and np.all(w[3, 1:] == 0.0)
+    assert np.array_equal(y[3], x[3, 0])
 
 
 def test_dense_sigmoid_strictly_inside_unit_interval():
@@ -91,14 +99,17 @@ def test_dense_sigmoid_strictly_inside_unit_interval():
 
 
 def test_word_dropout_identity_cases():
-    x = rng(1).normal(size=(2, 5, 3))
-    assert np.array_equal(word_dropout(x, 0.0, rng(0), train=True), x)
-    assert np.array_equal(word_dropout(x, 0.5, rng(0), train=False), x)
+    matrix = rng(1).normal(size=(4, 3))
+    idx = rng(2).integers(0, 4, size=(2, 5))
+    y, _ = Embedding(matrix, word_dropout_rate=0.0).forward(idx, None, train=True, rng=rng(0))
+    assert np.array_equal(y, matrix[idx])
+    y, _ = Embedding(matrix, word_dropout_rate=0.5).forward(idx, None, train=False, rng=rng(0))
+    assert np.array_equal(y, matrix[idx])
 
 
 def test_word_dropout_zeroes_whole_timesteps_at_expected_rate():
-    x = np.ones((100, 1000, 2))
-    out = word_dropout(x, 0.3, rng(7), train=True)
+    layer = Embedding(np.ones((3, 2)), word_dropout_rate=0.3)
+    out, _ = layer.forward(np.zeros((100, 1000), dtype=np.int64), None, train=True, rng=rng(7))
     per_step = out.sum(axis=2)
     zeroed = per_step == 0.0
     # whole vectors go together
@@ -167,3 +178,47 @@ def test_bilstm_final_state_matches_last_valid_sequence_output():
     # forward direction: state at t=2; backward direction: state at t=0
     assert np.allclose(y_fin[0, :2], y_seq[0, 2, :2])
     assert np.allclose(y_fin[0, 2:], y_seq[0, 0, 2:])
+
+
+def _state(value):
+    """Comparable snapshot of a layer attribute, arrays and parameters included."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, Parameter):
+        return (value.name, _state(value.value), _state(value.grad))
+    if isinstance(value, dict):
+        return {k: _state(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_state(v) for v in value]
+    if hasattr(value, "__dict__"):
+        return _state(vars(value))
+    return value
+
+
+def _seq(dim, seed=12):
+    return rng(seed).normal(size=(3, 6, dim)), np.array([6, 2, 0])
+
+
+INFERENCE_CASES = {
+    "embedding": lambda: (Embedding(rng(1).normal(size=(7, 4)), 0.3),
+                          rng(2).integers(0, 7, size=(3, 6)), np.array([6, 2, 0])),
+    "dropout": lambda: (Dropout(0.5), *_seq(4)),
+    "dense": lambda: (Dense(4, 3, "relu", rng=rng(1)), rng(2).normal(size=(3, 4)), None),
+    "conv1d": lambda: (Conv1D(4, 3, 2, rng=rng(1)), *_seq(4)),
+    "max_over_time": lambda: (MaxOverTime(), *_seq(4)),
+    "avg_over_time": lambda: (AvgOverTime(), *_seq(4)),
+    "attention": lambda: (AdditiveAttention(4, 3, rng=rng(1)), *_seq(4)),
+    "bilstm": lambda: (BiLSTM(4, 2, 0.3, rng=rng(1)), *_seq(4)),
+    "bilstm_final": lambda: (BiLSTM(4, 2, 0.3, return_sequences=False, rng=rng(1)), *_seq(4)),
+    "bigru": lambda: (BiGRU(4, 2, 0.3, rng=rng(1)), *_seq(4)),
+    "parallel": lambda: (ParallelConcat([[Conv1D(4, 3, 2, rng=rng(1)), MaxOverTime()],
+                                         [AdditiveAttention(4, 3, rng=rng(2))]]), *_seq(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFERENCE_CASES))
+def test_inference_forward_leaves_layer_state_unchanged(case):
+    layer, x, lengths = INFERENCE_CASES[case]()
+    before = _state(vars(layer))
+    layer.forward(x, lengths, train=False, rng=rng(3))
+    assert _state(vars(layer)) == before
