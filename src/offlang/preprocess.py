@@ -36,13 +36,15 @@ _EMOTICON_ALT = "|".join(re.escape(e) for e in sorted(EMOTICONS, key=len, revers
 
 # Alternatives are tried in order; the trailing \S catch-all guarantees
 # totality. Censored spellings like "b**ch" must stay one token so the
-# normalization table can match them.
+# normalization table can match them. An emoticon ending in a letter (e.g.
+# "xd") is not split off the front of a longer word ("xd0" stays one word),
+# or a word that lowercases into such a prefix would re-tokenize differently.
 _TOKEN_RE = re.compile(
     rf"""
       (?P<url>https?://\S+
              |www\.\S+
              |(?<![^\W\d_])[Uu][Rr][Ll](?!\w))
-    | (?P<emoticon>{_EMOTICON_ALT})
+    | (?P<emoticon>(?:{_EMOTICON_ALT})(?!(?<=[^\W\d_])[\w*]))
     | (?P<hashtag>\#\w*)
     | (?P<mention>@\w*)
     | (?P<word>[^\W\d_]\w*(?:\*+\w*)*)

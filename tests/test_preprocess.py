@@ -36,6 +36,11 @@ def test_tokenize_emoticon_before_punctuation():
     assert kinds("gr8 :)") == [("gr8", "word"), (":)", "emoticon")]
 
 
+def test_tokenize_letter_emoticon_not_split_from_word():
+    assert kinds("xd0 XDD xd") == [("xd0", "word"), ("XDD", "word"), ("xd", "emoticon")]
+    assert kinds("<3a") == [("<3", "emoticon"), ("a", "word")]
+
+
 def test_tokenize_urls():
     assert kinds("see http://t.co/abc now") == [
         ("see", "word"),
@@ -134,6 +139,7 @@ def test_pipeline_idempotent():
         "great day :D XD",       # uppercase emoticons lowercase into other emoticons
         "#snake_case mixed",     # underscores inside segmented hashtag bodies
         "f*** that",
+        "Xd0 Xd*ck",             # letter-ending emoticon prefix of a longer word
     ]
     for text in texts:
         once = preprocess_pipeline(text)
