@@ -8,12 +8,11 @@ flow is identical (see the README for the full-scale commands).
 """
 import numpy as np
 
-from offlang.data import Dataset, DatasetRecord, stratified_split
-from offlang.embeddings import build_embedding_matrix, build_vocabulary, EmbeddingTable
+from offlang.data import Dataset, DatasetRecord
+from offlang.embeddings import build_embedding_matrix, EmbeddingTable
 from offlang.evaluation import confusion, report
-from offlang.models import BUILDERS, encode_dataset, ensemble_proba, label_for
+from offlang.models import BUILDERS, encode_split, ensemble_proba, label_for
 from offlang.nn import TrainConfig, predict_proba, train
-from offlang.preprocess import preprocess_pipeline
 
 rng = np.random.default_rng(0)
 
@@ -34,22 +33,19 @@ records = [
     DatasetRecord(str(i), make_tweet(offensive=i % 2 == 0), "OFF" if i % 2 == 0 else "NOT")
     for i in range(120)
 ]
-dataset = Dataset(tuple(records))
-train_set, val_set = stratified_split(dataset, 0.2, seed=1)
-print(f"corpus: {len(train_set)} train / {len(val_set)} validation tweets")
+# Split, a vocabulary from the training tweets, and both sets encoded.
+vocabulary, encoded_train, encoded_val = encode_split(
+    Dataset(tuple(records)), validation_fraction=0.2, split_seed=1, max_len=16
+)
+print(f"corpus: {len(encoded_train)} train / {len(encoded_val)} validation tweets")
 
-# Vocabulary and a random 16-d embedding table (a real run loads 200-d
-# pre-trained tweet vectors here).
-token_lists = [preprocess_pipeline(r.text) for r in train_set]
-vocabulary = build_vocabulary(token_lists)
+# A random 16-d embedding table (a real run loads 200-d pre-trained tweet
+# vectors here).
 dim = 16
 fake_vectors = EmbeddingTable(
     dim, {w: rng.normal(scale=0.3, size=dim).astype(np.float32) for w in vocabulary.index}
 )
 matrix = build_embedding_matrix(vocabulary, fake_vectors, seed=2)
-
-encoded_train = encode_dataset(train_set, vocabulary, max_len=16)
-encoded_val = encode_dataset(val_set, vocabulary, max_len=16)
 
 member_probs = []
 for seed, (name, builder) in enumerate(BUILDERS.items(), start=1):
@@ -65,5 +61,5 @@ for seed, (name, builder) in enumerate(BUILDERS.items(), start=1):
 print("\naveraging the three members:")
 probs = ensemble_proba(member_probs)
 preds = [label_for(float(p)) for p in probs]
-golds = [r.label_a for r in val_set]
+golds = [label_for(float(y)) for y in encoded_val.y]
 print(report(confusion(preds, golds)).to_text())

@@ -17,19 +17,14 @@ from pathlib import Path
 
 from . import data as D
 from . import heuristics as H
-from .embeddings import (
-    Vocabulary,
-    build_embedding_matrix,
-    build_vocabulary,
-    load_embeddings,
-)
+from .embeddings import Vocabulary, build_embedding_matrix, load_embeddings
 from .evaluation import confusion, report
 from .models import (
     ARCH_BLSTM_ATT,
     ARCH_BLSTM_BGRU,
     ARCH_CNN,
     BUILDERS,
-    encode_dataset,
+    encode_split,
     ensemble_predict,
 )
 from .nn import (
@@ -249,20 +244,14 @@ def cmd_train(args) -> int:
     if exclude:
         dataset = D.apply_exclusions(dataset, D.ExclusionList.from_file(
             _require_path(exclude, "--exclude")))
-    train_set, val_set = D.stratified_split(
-        dataset, float(_resolve(args, "validation_fraction")), int(_resolve(args, "split_seed"))
+    vocabulary, encoded_train, encoded_val = encode_split(
+        dataset, pre, float(_resolve(args, "validation_fraction")),
+        int(_resolve(args, "split_seed")), int(_resolve(args, "min_count")), max_len,
     )
-
-    token_lists = [
-        preprocess_pipeline(r.text, pre.table, pre.dictionary) for r in train_set
-    ]
-    vocabulary = build_vocabulary(token_lists, int(_resolve(args, "min_count")))
     table = load_embeddings(emb_path, dim, only=set(vocabulary.index))
     matrix = build_embedding_matrix(vocabulary, table, seed)
     model = BUILDERS[architecture](matrix, expected_dim=dim, seed=seed)
 
-    encoded_train = encode_dataset(train_set, vocabulary, pre, max_len)
-    encoded_val = encode_dataset(val_set, vocabulary, pre, max_len)
     config = TrainConfig(
         learning_rate=float(_resolve(args, "learning_rate")),
         batch_size=int(_resolve(args, "batch_size")),
@@ -371,16 +360,14 @@ def cmd_taskb(args) -> int:
     out = _out_path(args)
     lexicon = H.HeuristicLexicon.from_file(lexicon_path)
     annotations = None
-    mode = "builtin"
     ann_path = _resolve(args, "annotations", default="")
     if ann_path:
         annotations = H.load_annotations(_require_path(ann_path, "--annotations"))
-        mode = "external"
 
     with out.open("w", encoding="utf-8") as fh:
         for record in dataset:
             tokens = [t.surface for t in tokenize(record.text).tokens]
-            annotated = H.annotate(tokens, mode, annotations, record.id)
+            annotated = H.annotate(tokens, annotations, record.id)
             label, trace = H.classify_target(annotated, lexicon)
             fh.write(f"{record.id}\t{label}\t{trace.rule_fired}\n")
     logger.info("wrote %d rule prediction(s) to %s", len(dataset), out)

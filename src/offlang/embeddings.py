@@ -140,37 +140,15 @@ def build_embedding_matrix(
     return matrix
 
 
-@dataclass(frozen=True)
-class EncodedSequence:
-    """Fixed-length index array plus the count of non-padding positions."""
-
-    indices: np.ndarray
-    true_length: int
-
-    def __post_init__(self):
-        if self.indices.ndim != 1:
-            raise ValueError("indices must be one-dimensional")
-        if not 0 <= self.true_length <= self.indices.shape[0]:
-            raise ValueError("true_length out of range")
-
-
-def encode(tokens: Sequence[str], vocabulary: Vocabulary, max_len: int = MAX_LEN) -> EncodedSequence:
-    """Map tokens to indices (OOV -> 1), truncate to max_len, post-pad with 0."""
-    indices = np.full(max_len, PAD_INDEX, dtype=np.int32)
-    kept = min(len(tokens), max_len)
-    for i in range(kept):
-        indices[i] = vocabulary.lookup(tokens[i])
-    return EncodedSequence(indices, kept)
-
-
 def encode_batch(
     token_lists: Sequence[Sequence[str]], vocabulary: Vocabulary, max_len: int = MAX_LEN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack encodings into (n, max_len) indices and (n,) true lengths."""
+    """(n, max_len) int32 indices and (n,) true lengths: tokens map to their
+    index (OOV -> 1), are truncated to max_len and post-padded with 0."""
     X = np.full((len(token_lists), max_len), PAD_INDEX, dtype=np.int32)
     lengths = np.zeros(len(token_lists), dtype=np.int32)
     for row, tokens in enumerate(token_lists):
-        seq = encode(tokens, vocabulary, max_len)
-        X[row] = seq.indices
-        lengths[row] = seq.true_length
+        kept = min(len(tokens), max_len)
+        X[row, :kept] = [vocabulary.lookup(token) for token in tokens[:kept]]
+        lengths[row] = kept
     return X, lengths

@@ -283,21 +283,19 @@ def load_annotations(path: str | Path) -> dict[str, AnnotatedTweet]:
 
 def annotate(
     tokens: Sequence[str],
-    mode: str = "builtin",
     annotations: Mapping[str, AnnotatedTweet] | None = None,
     tweet_id: str | None = None,
 ) -> AnnotatedTweet:
-    """Builtin annotation, or a lookup into pre-annotated external data."""
-    if mode == "builtin":
+    """Builtin annotation, or with ``annotations`` a lookup of ``tweet_id``
+    in pre-annotated external data."""
+    if annotations is None:
         return annotate_builtin(tokens)
-    if mode == "external":
-        if annotations is None or tweet_id is None:
-            raise AnnotationError("external mode needs an annotation table and a tweet id")
-        try:
-            return annotations[tweet_id]
-        except KeyError:
-            raise AnnotationError(f"no external annotation for tweet id {tweet_id!r}") from None
-    raise ValueError(f"unknown annotation mode: {mode!r}")
+    if tweet_id is None:
+        raise AnnotationError("external annotation needs a tweet id")
+    try:
+        return annotations[tweet_id]
+    except KeyError:
+        raise AnnotationError(f"no external annotation for tweet id {tweet_id!r}") from None
 
 
 def classify_target(tweet: AnnotatedTweet, lexicon: HeuristicLexicon) -> tuple[str, RuleTrace]:

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset, DatasetRecord, NOT, OFF
-from .embeddings import MAX_LEN, Vocabulary, encode_batch
+from .data import Dataset, DatasetRecord, NOT, OFF, stratified_split
+from .embeddings import MAX_LEN, Vocabulary, build_vocabulary, encode_batch
 from .nn import (
     AdditiveAttention,
     AvgOverTime,
@@ -164,6 +164,19 @@ def label_for(probability: float, threshold: float = 0.5) -> str:
     return OFF if probability >= threshold else NOT
 
 
+def _encode_records(records: Sequence[DatasetRecord], token_lists: Sequence[Sequence[str]],
+                    vocabulary: Vocabulary, max_len: int) -> EncodedDataset:
+    """Encode each record's preprocessed tokens; OFF maps to label 1.0, NOT to 0.0."""
+    X, lengths = encode_batch(token_lists, vocabulary, max_len)
+    y = np.array([1.0 if r.label_a == OFF else 0.0 for r in records], dtype=np.float32)
+    return EncodedDataset(X, lengths, y, tuple(r.id for r in records))
+
+
+def _tokens(records: Sequence[DatasetRecord], pre: PreprocessConfig | None) -> list[list[str]]:
+    pre = pre or PreprocessConfig()
+    return [preprocess_pipeline(r.text, pre.table, pre.dictionary) for r in records]
+
+
 def encode_dataset(
     dataset: Dataset | Iterable[DatasetRecord],
     vocabulary: Vocabulary,
@@ -171,28 +184,27 @@ def encode_dataset(
     max_len: int = MAX_LEN,
 ) -> EncodedDataset:
     """Preprocess and encode records; OFF maps to label 1.0, NOT to 0.0."""
-    if preprocessing is None:
-        preprocessing = PreprocessConfig()
     records = list(dataset)
-    tokens = [
-        preprocess_pipeline(r.text, preprocessing.table, preprocessing.dictionary)
-        for r in records
-    ]
-    X, lengths = encode_batch(tokens, vocabulary, max_len)
-    y = np.array([1.0 if r.label_a == OFF else 0.0 for r in records], dtype=np.float32)
-    return EncodedDataset(X, lengths, y, tuple(r.id for r in records))
+    return _encode_records(records, _tokens(records, preprocessing), vocabulary, max_len)
 
 
-def predict(
-    model: ModelGraph,
-    dataset: Dataset | Iterable[DatasetRecord],
-    vocabulary: Vocabulary,
+def encode_split(
+    dataset: Dataset,
     preprocessing: PreprocessConfig | None = None,
+    validation_fraction: float = 0.1,
+    split_seed: int = 42,
+    min_count: int = 1,
     max_len: int = MAX_LEN,
-    threshold: float = 0.5,
-) -> list[PredictionResult]:
-    """Deterministic single-model predictions over raw records."""
-    return ensemble_predict([model], dataset, vocabulary, preprocessing, max_len, threshold)
+) -> tuple[Vocabulary, EncodedDataset, EncodedDataset]:
+    """Stratified train/validation split, both encoded against a vocabulary of
+    the training tweets only; ensemble members that share the split fraction
+    and seed share the vocabulary. Each training tweet is preprocessed once."""
+    train_set, val_set = stratified_split(dataset, validation_fraction, split_seed)
+    token_lists = _tokens(train_set.records, preprocessing)
+    vocabulary = build_vocabulary(token_lists, min_count)
+    encoded_train = _encode_records(train_set.records, token_lists, vocabulary, max_len)
+    encoded_val = encode_dataset(val_set, vocabulary, preprocessing, max_len)
+    return vocabulary, encoded_train, encoded_val
 
 
 def ensemble_proba(member_probs: Sequence[np.ndarray]) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources as importlib_resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 _LOG10 = math.log(10.0)
 
@@ -49,13 +49,6 @@ class SegmentationDictionary:
                     raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count'")
                 counts[parts[0]] = counts.get(parts[0], 0) + int(parts[1])
         return cls(counts)
-
-    def merged_with(self, extra: Mapping[str, int]) -> "SegmentationDictionary":
-        """Return a new dictionary with ``extra`` counts added in."""
-        merged = dict(self.counts)
-        for word, count in extra.items():
-            merged[word.lower()] = merged.get(word.lower(), 0) + int(count)
-        return SegmentationDictionary(merged)
 
     def log_prob(self, chunk: str) -> float:
         total = max(self.total, 1)
@@ -97,16 +90,6 @@ def segment_hashtag(tag: str, dictionary: SegmentationDictionary | None = None) 
         end = start
     pieces.reverse()
     return pieces
-
-
-def corpus_word_counts(token_lists: Iterable[Iterable[str]]) -> dict[str, int]:
-    """Frequency of lowercase word tokens, for augmenting a dictionary."""
-    counts: dict[str, int] = {}
-    for tokens in token_lists:
-        for token in tokens:
-            low = token.lower()
-            counts[low] = counts.get(low, 0) + 1
-    return counts
 
 
 @lru_cache(maxsize=1)

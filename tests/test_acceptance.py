@@ -12,14 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import separable_toy
-from offlang.data import load_olid, stratified_split
-from offlang.embeddings import (
-    Vocabulary,
-    build_embedding_matrix,
-    build_vocabulary,
-    encode,
-    load_embeddings,
-)
+from offlang.data import load_olid
+from offlang.embeddings import Vocabulary, build_embedding_matrix, encode_batch, load_embeddings
 from offlang.evaluation import baseline_report, confusion, report
 from offlang.heuristics import HeuristicLexicon, annotate_builtin, classify_target
 from offlang.models import (
@@ -28,6 +22,7 @@ from offlang.models import (
     build_blstm_bgru,
     build_cnn,
     encode_dataset,
+    encode_split,
     ensemble_proba,
 )
 from offlang.nn import (
@@ -237,13 +232,11 @@ def test_criterion_7_encoding_contract():
     all_exact = True
     for n in (0, 1, 50, 199, 200, 201, 250):
         tokens = [f"w{rng.integers(0, 40)}" for _ in range(n)]
-        seq = encode(tokens, vocab)
-        all_exact &= seq.indices.shape == (200,)
-        all_exact &= seq.true_length == min(n, 200)
-    long_seq = encode([f"w{i % 30}" for i in range(250)], vocab)
-    first_kept = all(
-        long_seq.indices[i] == vocab.lookup(f"w{i % 30}") for i in range(200)
-    )
+        X, lengths = encode_batch([tokens], vocab)
+        all_exact &= X.shape == (1, 200)
+        all_exact &= int(lengths[0]) == min(n, 200)
+    long_X, _ = encode_batch([[f"w{i % 30}" for i in range(250)]], vocab)
+    first_kept = all(long_X[0, i] == vocab.lookup(f"w{i % 30}") for i in range(200))
     ok = bool(all_exact and first_kept)
     announce(7, ok, "all encodings have length exactly 200; a 250-token input keeps the first 200")
 
@@ -268,15 +261,10 @@ def test_criterion_8_full_scale_soft_bound():
         )
     train_path, test_path, vectors_path = paths
     started = time.perf_counter()
-    dataset = load_olid(train_path)
-    train_set, val_set = stratified_split(dataset)
-    token_lists = [preprocess_pipeline(r.text) for r in train_set]
-    vocabulary = build_vocabulary(token_lists)
+    vocabulary, encoded_train, encoded_val = encode_split(load_olid(train_path))
     table = load_embeddings(vectors_path, 200, only=set(vocabulary.index))
     matrix = build_embedding_matrix(vocabulary, table, seed=42)
 
-    encoded_train = encode_dataset(train_set, vocabulary)
-    encoded_val = encode_dataset(val_set, vocabulary)
     test_set = load_olid(test_path, split_tag="test")
     encoded_test = encode_dataset(test_set, vocabulary)
 

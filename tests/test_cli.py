@@ -323,3 +323,25 @@ def test_config_flag_precedence(train_tsv, tmp_path):
     ]) == EXIT_OK
     tokens = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(tokens) == 2
+
+
+def test_train_preprocesses_each_row_once(train_tsv, embeddings_file, train_config, tmp_path,
+                                          monkeypatch):
+    import offlang.cli as cli
+    import offlang.models as models
+    from offlang.preprocess import preprocess_pipeline
+
+    texts = []
+
+    def counting(text, *args, **kwargs):
+        texts.append(text)
+        return preprocess_pipeline(text, *args, **kwargs)
+
+    for module in (cli, models):
+        monkeypatch.setattr(module, "preprocess_pipeline", counting)
+    assert main([
+        "train", "--arch", "cnn", "--data", str(train_tsv),
+        "--embeddings", str(embeddings_file), "--out", str(tmp_path / "cnn.bin"),
+        "--config", str(train_config),
+    ]) == EXIT_OK
+    assert sorted(texts) == sorted(text for _, text, _, _ in TRAIN_ROWS)

@@ -10,7 +10,6 @@ from offlang.embeddings import (
     Vocabulary,
     build_embedding_matrix,
     build_vocabulary,
-    encode,
     encode_batch,
     load_embeddings,
 )
@@ -112,33 +111,34 @@ def test_build_embedding_matrix_deterministic(tmp_path):
 
 def test_encode_oov_and_padding():
     vocab = Vocabulary({"a": 2})
-    seq = encode(["a", "zzz"], vocab, max_len=4)
-    assert seq.indices.tolist() == [2, 1, 0, 0]
-    assert seq.true_length == 2
+    X, lengths = encode_batch([["a", "zzz"]], vocab, max_len=4)
+    assert X.tolist() == [[2, 1, 0, 0]]
+    assert lengths.tolist() == [2]
 
 
 def test_encode_empty():
-    seq = encode([], Vocabulary({}), max_len=3)
-    assert seq.indices.tolist() == [0, 0, 0]
-    assert seq.true_length == 0
+    X, lengths = encode_batch([[]], Vocabulary({}), max_len=3)
+    assert X.tolist() == [[0, 0, 0]]
+    assert lengths.tolist() == [0]
 
 
 def test_encode_truncates_to_max_len():
     vocab = Vocabulary({"w": 2})
-    seq = encode(["w"] * 250, vocab)  # default max_len = 200
-    assert seq.indices.shape == (200,)
-    assert seq.true_length == 200
-    assert np.all(seq.indices == 2)
+    X, lengths = encode_batch([["w"] * 250], vocab)  # default max_len = 200
+    assert X.shape == (1, 200)
+    assert lengths.tolist() == [200]
+    assert np.all(X == 2)
 
 
 @given(st.lists(st.sampled_from(["a", "b", "zz"]), max_size=30), st.integers(1, 12))
 @settings(max_examples=150, deadline=None)
 def test_encode_contract_property(tokens, max_len):
     vocab = Vocabulary({"a": 2, "b": 3})
-    seq = encode(tokens, vocab, max_len)
-    assert seq.indices.shape == (max_len,)
-    assert seq.indices.max(initial=0) < vocab.size
-    assert np.all(seq.indices[seq.true_length:] == PAD_INDEX)
+    X, lengths = encode_batch([tokens], vocab, max_len)
+    assert X.shape == (1, max_len)
+    assert lengths[0] == min(len(tokens), max_len)
+    assert X.max(initial=0) < vocab.size
+    assert np.all(X[0, lengths[0]:] == PAD_INDEX)
 
 
 def test_encode_batch_shapes():

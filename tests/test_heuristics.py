@@ -191,10 +191,10 @@ def test_external_annotations_round_trip(tmp_path):
         encoding="utf-8",
     )
     table = load_annotations(path)
-    tweet = annotate(["ignored"], mode="external", annotations=table, tweet_id="42")
+    tweet = annotate(["ignored"], annotations=table, tweet_id="42")
     assert tweet.tokens == ("you", "are", "Trump")
     assert tweet.entities == (EntitySpan(2, 3, "PERSON"),)
-    assert annotate([], "external", table, "43").entities == ()
+    assert annotate([], table, "43").entities == ()
 
 
 def test_external_annotations_missing_id_fatal(tmp_path):
@@ -202,7 +202,9 @@ def test_external_annotations_missing_id_fatal(tmp_path):
     path.write_text("42\ta/N\t-\n", encoding="utf-8")
     table = load_annotations(path)
     with pytest.raises(AnnotationError, match="99"):
-        annotate(["x"], "external", table, "99")
+        annotate(["x"], table, "99")
+    with pytest.raises(AnnotationError, match="tweet id"):
+        annotate(["x"], table)
 
 
 def test_external_annotations_bad_file(tmp_path):

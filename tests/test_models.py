@@ -3,20 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offlang.data import Dataset, DatasetRecord
-from offlang.embeddings import Vocabulary
+from offlang.data import Dataset, DatasetRecord, stratified_split
+from offlang.embeddings import OOV_INDEX, Vocabulary, build_vocabulary
 from offlang.models import (
     PredictionResult,
     build_blstm_attention,
     build_blstm_bgru,
     build_cnn,
     encode_dataset,
+    encode_split,
     ensemble_predict,
     ensemble_proba,
     label_for,
-    predict,
 )
 from offlang.nn import AdditiveAttention, Dense, ParallelConcat, predict_proba
+from offlang.preprocess import preprocess_pipeline
 
 
 def test_builders_reject_wrong_dim(tiny_matrix):
@@ -56,6 +57,21 @@ def test_forward_probabilities_and_determinism(tiny_matrix):
     p2 = predict_proba(model, X, lengths)
     assert np.array_equal(p1, p2)
     assert np.all((p1 > 0.0) & (p1 < 1.0))
+
+
+@pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
+def test_extra_padding_never_changes_inference(tiny_matrix, builder):
+    model = builder(tiny_matrix, expected_dim=16, seed=4)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        # length 0, and lengths 1-3 below the widest (width-4) convolution
+        lengths = np.concatenate([[0, 1, 2, 3], rng.integers(0, 13, size=4)]).astype(np.int32)
+        X = rng.integers(2, 20, size=(8, 12)).astype(np.int32)
+        X[np.arange(12) >= lengths[:, None]] = 0
+        reference = predict_proba(model, X, lengths)
+        for extra in (1, 5, 40):
+            padded = np.pad(X, ((0, 0), (0, extra)))
+            assert np.array_equal(predict_proba(model, padded, lengths), reference)
 
 
 def test_attention_model_handles_fully_padded_input(tiny_matrix):
@@ -99,7 +115,7 @@ def test_predict_and_singleton_ensemble_agree(tiny_matrix):
     vocab = Vocabulary({"you": 2, "are": 3, "bad": 4})
     model = build_cnn(tiny_matrix, filters=4, hidden=4, expected_dim=16, seed=1)
     ds = records(["you are bad", "totally fine"])
-    single = predict(model, ds, vocab, max_len=12)
+    single = ensemble_predict([model], ds, vocab, max_len=12)
     triple = ensemble_predict([model, model, model], ds, vocab, max_len=12)
     assert [r.probability for r in single] == [r.probability for r in triple]
     assert [r.label for r in single] == [r.label for r in triple]
@@ -160,3 +176,27 @@ def test_encode_dataset_labels(tiny_matrix):
     assert encoded.y.tolist() == [1.0, 0.0]
     assert encoded.ids == ("a", "b")
     assert encoded.X.shape == (2, 4)
+
+
+@pytest.mark.parametrize("min_count", [1, 2])
+def test_encode_split_matches_split_vocabulary_encode_reference(min_count):
+    unique = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
+              "golf", "hotel", "india", "juliet", "kilo", "lima"]
+    ds = Dataset(tuple(
+        DatasetRecord(str(i), f"you are {'trash' if i % 2 else 'lovely'} {word}",
+                      "OFF" if i % 2 else "NOT")
+        for i, word in enumerate(unique)
+    ))
+    vocabulary, encoded_train, encoded_val = encode_split(
+        ds, validation_fraction=0.34, split_seed=3, min_count=min_count, max_len=6)
+
+    train_set, val_set = stratified_split(ds, 0.34, 3)
+    reference = build_vocabulary([preprocess_pipeline(r.text) for r in train_set], min_count)
+    assert vocabulary.index == reference.index
+    for got, split in ((encoded_train, train_set), (encoded_val, val_set)):
+        want = encode_dataset(split, reference, max_len=6)
+        assert got.ids == want.ids
+        assert np.array_equal(got.X, want.X)
+        assert np.array_equal(got.lengths, want.lengths)
+        assert np.array_equal(got.y, want.y)
+    assert np.all(encoded_val.X[:, 3] == OOV_INDEX)  # validation-only words

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from offlang.segmentation import (
     SegmentationDictionary,
-    corpus_word_counts,
     default_dictionary,
     segment_hashtag,
 )
@@ -91,5 +90,3 @@ def test_dictionary_from_file_and_merge(tmp_path):
     d = SegmentationDictionary.from_file(path)
     assert d.counts == {"alpha": 7, "beta": 3}
     assert d.total == 10
-    merged = d.merged_with(corpus_word_counts([["alpha", "GAMMA"]]))
-    assert merged.counts == {"alpha": 8, "beta": 3, "gamma": 1}
