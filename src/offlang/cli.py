@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime error. All
 randomness flows from explicit seeds, so reruns of a command with the same
 config produce byte-identical outputs.
 
-Options may come from a flat ``key=value`` config file (``--config``);
-command-line flags win over config values.
+Options may come from a flat ``key=value`` config file (``--config``) whose
+keys are the long flag names with ``_`` for ``-``. A flag wins over a config
+value, which wins over the option's default.
 """
 from __future__ import annotations
 
@@ -47,26 +48,6 @@ EXIT_RUNTIME = 2
 
 ARCH_FLAGS = {"cnn": ARCH_CNN, "blstm-att": ARCH_BLSTM_ATT, "blstm-bgru": ARCH_BLSTM_BGRU}
 
-CONFIG_DEFAULTS = {
-    "seed": 42,
-    "split_seed": 42,
-    "threshold": 0.5,
-    "task": "A",
-    "k": 100,
-    "learning_rate": 1e-3,
-    "batch_size": 32,
-    "max_epochs": 50,
-    "patience": 3,
-    "validation_fraction": 0.1,
-    "min_count": 1,
-    "embedding_dim": 200,
-    "max_len": 200,
-}
-
-_FLOAT_KEYS = {"threshold", "learning_rate", "validation_fraction"}
-_INT_KEYS = {"seed", "split_seed", "k", "batch_size", "max_epochs", "patience", "min_count",
-             "embedding_dim", "max_len"}
-
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 1."""
@@ -90,24 +71,6 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(args, key, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config_values", {})
-    if key in config:
-        raw = config[key]
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        return raw
-    if default is not None:
-        return default
-    return CONFIG_DEFAULTS.get(key)
-
-
 def _require_path(value, flag: str) -> Path:
     if value is None:
         raise UsageError(f"missing required option {flag}")
@@ -117,101 +80,118 @@ def _require_path(value, flag: str) -> Path:
     return path
 
 
-def build_parser() -> _Parser:
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The option table: the top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="offlang", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
 
-    def common(p):
+    def add(name, help):
+        p = subparsers[name] = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key=value config file; flags win")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--norm-table", help="normalization table file (variant<TAB>canonical)")
         p.add_argument("--seg-dict", help="segmentation dictionary file (word<TAB>count)")
+        return p
 
-    p = sub.add_parser("preprocess", help="write id<TAB>normalized-tokens for a dataset")
-    common(p)
+    p = add("preprocess", "write id<TAB>normalized-tokens for a dataset")
     p.add_argument("--data", help="input dataset TSV")
     p.add_argument("--out", help="output file")
     p.add_argument("--unlabeled", action="store_true", help="input has no label columns")
 
-    p = sub.add_parser("train", help="train one architecture and save the model")
-    common(p)
+    p = add("train", "train one architecture and save the model")
     p.add_argument("--arch", choices=sorted(ARCH_FLAGS))
     p.add_argument("--data", help="labelled training TSV")
     p.add_argument("--embeddings", help="pre-trained word vector file")
     p.add_argument("--exclude", help="exclusion list file (one id per line)")
     p.add_argument("--out", help="model output path")
-    p.add_argument("--split-seed", type=int,
+    p.add_argument("--split-seed", type=int, default=42,
                    help="seed for the train/validation split; keep it fixed across "
                         "ensemble members so their vocabularies match (default 42)")
-    for key in ("learning-rate", "batch-size", "max-epochs", "patience"):
-        p.add_argument(f"--{key}", type=float if key == "learning-rate" else int)
-    p.add_argument("--validation-fraction", type=float)
-    p.add_argument("--min-count", type=int)
-    p.add_argument("--embedding-dim", type=int)
-    p.add_argument("--max-len", type=int)
+    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--max-epochs", type=int, default=50)
+    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--validation-fraction", type=float, default=0.1)
+    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--embedding-dim", type=int, default=200)
+    p.add_argument("--max-len", type=int, default=200)
 
-    p = sub.add_parser("predict", help="single-model or ensemble predictions")
-    common(p)
+    p = add("predict", "single-model or ensemble predictions")
     p.add_argument("models", nargs="+", help="model file(s); more than one averages")
     p.add_argument("--data", help="input dataset TSV")
     p.add_argument("--out", help="predictions TSV output")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--unlabeled", action="store_true", help="input has no label columns")
 
-    p = sub.add_parser("evaluate", help="score a predictions file against gold labels")
-    common(p)
+    p = add("evaluate", "score a predictions file against gold labels")
     p.add_argument("predictions", help="predictions TSV")
     p.add_argument("gold", help="gold dataset TSV")
-    p.add_argument("--task", choices=("A", "B"))
+    p.add_argument("--task", choices=("A", "B"), default="A")
     p.add_argument("--out", help="also write the report as JSON here")
 
-    p = sub.add_parser("taskb", help="rule-engine targeted/untargeted predictions")
-    common(p)
+    p = add("taskb", "rule-engine targeted/untargeted predictions")
     p.add_argument("--data", help="input dataset TSV")
     p.add_argument("--lexicon", help="lexicon file (hashtags keep '#')")
     p.add_argument("--annotations", help="pre-annotated file; default is the builtin annotator")
     p.add_argument("--out", help="output TSV: id<TAB>label<TAB>rule")
     p.add_argument("--unlabeled", action="store_true", help="input has no label columns")
 
-    p = sub.add_parser("build-lexicon", help="compile top-k hashtags/tokens from training data")
-    common(p)
+    p = add("build-lexicon", "compile top-k hashtags/tokens from training data")
     p.add_argument("--data", help="labelled training TSV")
     p.add_argument("--out", help="lexicon output file")
     p.add_argument("--stoplist", help="stopword file; defaults to the shipped English list")
     p.add_argument("--overrides", help="file of items to remove (manual elimination)")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, default=100)
 
-    return parser
+    return parser, subparsers
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse ``argv``; with ``--config``, parse it again with the config values,
+    converted by each option's ``type``, as the subcommand's defaults, so flags
+    still win. Keys naming no value option of the subcommand are ignored."""
+    parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        values = _load_config_file(args.config)
+        sub = subparsers[args.command]
+        # not a pre-filled namespace: a subparser's defaults would overwrite it
+        sub.set_defaults(**{
+            a.dest: a.type(values[a.dest]) if a.type else values[a.dest]
+            for a in sub._actions
+            if a.option_strings and a.nargs != 0 and a.dest != "config" and a.dest in values
+        })
+        args = parser.parse_args(argv)
+    return args
 
 
 def _load_preprocessing(args) -> PreprocessConfig:
-    table = None
-    dictionary = None
-    table_path = _resolve(args, "norm_table", default="")
-    if table_path:
-        table = NormalizationTable.from_file(_require_path(table_path, "--norm-table"))
-    dict_path = _resolve(args, "seg_dict", default="")
-    if dict_path:
-        dictionary = SegmentationDictionary.from_file(_require_path(dict_path, "--seg-dict"))
+    table, seg = args.norm_table, args.seg_dict
     kwargs = {}
-    if table is not None:
-        kwargs["table"] = table
-    if dictionary is not None:
-        kwargs["dictionary"] = dictionary
+    if table:
+        kwargs["table"] = NormalizationTable.from_file(_require_path(table, "--norm-table"))
+    if seg:
+        kwargs["dictionary"] = SegmentationDictionary.from_file(_require_path(seg, "--seg-dict"))
     return PreprocessConfig(**kwargs)
 
 
-def _load_dataset(args, flag="--data") -> D.Dataset:
-    path = _require_path(_resolve(args, flag.lstrip("-").replace("-", "_")), flag)
+def _load_dataset(args) -> D.Dataset:
     has_labels = not getattr(args, "unlabeled", False)
-    return D.load_olid(path, has_labels=has_labels)
+    return D.load_olid(_require_path(args.data, "--data"), has_labels=has_labels)
 
 
 def _out_path(args) -> Path:
-    value = _resolve(args, "out", default="")
-    if not value:
+    if not args.out:
         raise UsageError("missing required option --out")
-    return Path(value)
+    return Path(args.out)
+
+
+def _read_items(value, flag: str) -> frozenset[str]:
+    """The stripped non-blank lines of a file; '#' lines are items too, because
+    overrides may name hashtags."""
+    lines = _require_path(value, flag).read_text("utf-8").splitlines()
+    return frozenset(line.strip() for line in lines if line.strip())
 
 
 def cmd_preprocess(args) -> int:
@@ -227,41 +207,30 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    arch_flag = _resolve(args, "arch", default="")
-    if not arch_flag:
+    if not args.arch:
         raise UsageError("missing required option --arch")
-    architecture = ARCH_FLAGS[arch_flag]
-    data_path = _require_path(_resolve(args, "data"), "--data")
-    emb_path = _require_path(_resolve(args, "embeddings"), "--embeddings")
+    architecture = ARCH_FLAGS[args.arch]
+    data_path = _require_path(args.data, "--data")
+    emb_path = _require_path(args.embeddings, "--embeddings")
     out = _out_path(args)
-    seed = int(_resolve(args, "seed"))
-    max_len = int(_resolve(args, "max_len"))
-    dim = int(_resolve(args, "embedding_dim"))
     pre = _load_preprocessing(args)
 
     dataset = D.load_olid(data_path, has_labels=True)
-    exclude = _resolve(args, "exclude", default="")
-    if exclude:
+    if args.exclude:
         dataset = D.apply_exclusions(dataset, D.ExclusionList.from_file(
-            _require_path(exclude, "--exclude")))
+            _require_path(args.exclude, "--exclude")))
     vocabulary, encoded_train, encoded_val = encode_split(
-        dataset, pre, float(_resolve(args, "validation_fraction")),
-        int(_resolve(args, "split_seed")), int(_resolve(args, "min_count")), max_len,
+        dataset, pre, args.validation_fraction, args.split_seed, args.min_count, args.max_len,
     )
-    table = load_embeddings(emb_path, dim, only=set(vocabulary.index))
-    matrix = build_embedding_matrix(vocabulary, table, seed)
-    model = BUILDERS[architecture](matrix, expected_dim=dim, seed=seed)
+    table = load_embeddings(emb_path, args.embedding_dim, only=set(vocabulary.index))
+    matrix = build_embedding_matrix(vocabulary, table, args.seed)
+    model = BUILDERS[architecture](matrix, expected_dim=args.embedding_dim, seed=args.seed)
 
-    config = TrainConfig(
-        learning_rate=float(_resolve(args, "learning_rate")),
-        batch_size=int(_resolve(args, "batch_size")),
-        max_epochs=int(_resolve(args, "max_epochs")),
-        patience=int(_resolve(args, "patience")),
-        seed=seed,
-    )
+    config = TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
+                         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed)
     history = train(model, encoded_train, encoded_val, config)
 
-    save_model(out, model, vocabulary.index, max_len)
+    save_model(out, model, vocabulary.index, args.max_len)
     history_path = out.with_suffix(out.suffix + ".history.json")
     history_path.write_text(json.dumps(history, indent=2), encoding="utf-8")
 
@@ -269,7 +238,7 @@ def cmd_train(args) -> int:
     val_loss = bce_loss(val_probs, encoded_val.y)
     val_acc = binary_accuracy(val_probs, encoded_val.y)
     print(
-        f"trained {arch_flag}: epochs={history['epochs_run']} "
+        f"trained {args.arch}: epochs={history['epochs_run']} "
         f"best_epoch={history['best_epoch']} "
         f"val_loss={val_loss:.4f} val_accuracy={val_acc:.4f}"
     )
@@ -284,7 +253,6 @@ def cmd_predict(args) -> int:
             raise UsageError(f"model file does not exist: {path}")
     dataset = _load_dataset(args)
     out = _out_path(args)
-    threshold = float(_resolve(args, "threshold"))
     pre = _load_preprocessing(args)
 
     loaded = [load_model(p) for p in model_paths]
@@ -298,7 +266,7 @@ def cmd_predict(args) -> int:
             )
 
     results = ensemble_predict([model for model, _, _ in loaded], dataset,
-                               Vocabulary(vocabulary0), pre, max_len0, threshold)
+                               Vocabulary(vocabulary0), pre, max_len0, args.threshold)
     with out.open("w", encoding="utf-8") as fh:
         for r in results:
             fh.write(f"{r.id}\t{r.probability:.6f}\t{r.label}\n")
@@ -325,13 +293,12 @@ def _read_predictions(path: Path, task: str) -> dict[str, str]:
 def cmd_evaluate(args) -> int:
     pred_path = _require_path(args.predictions, "predictions")
     gold_path = _require_path(args.gold, "gold")
-    task = _resolve(args, "task")
-    preds = _read_predictions(pred_path, task)
+    preds = _read_predictions(pred_path, args.task)
     gold_dataset = D.load_olid(gold_path, has_labels=True)
 
     golds = {}
     for record in gold_dataset:
-        label = record.label_a if task == "A" else record.label_b
+        label = record.label_a if args.task == "A" else record.label_b
         if label is not None:
             golds[record.id] = label
     missing = sorted(set(golds) - set(preds))
@@ -347,26 +314,26 @@ def cmd_evaluate(args) -> int:
     result = report(confusion([preds[i] for i in ordered_ids],
                               [golds[i] for i in ordered_ids]))
     print(result.to_text())
-    out = _resolve(args, "out", default="")
-    if out:
-        Path(out).write_text(result.to_json() + "\n", encoding="utf-8")
-        logger.info("report written to %s", out)
+    if args.out:
+        Path(args.out).write_text(result.to_json() + "\n", encoding="utf-8")
+        logger.info("report written to %s", args.out)
     return EXIT_OK
 
 
 def cmd_taskb(args) -> int:
-    lexicon_path = _require_path(_resolve(args, "lexicon"), "--lexicon")
+    lexicon_path = _require_path(args.lexicon, "--lexicon")
     dataset = _load_dataset(args)
     out = _out_path(args)
     lexicon = H.HeuristicLexicon.from_file(lexicon_path)
     annotations = None
-    ann_path = _resolve(args, "annotations", default="")
-    if ann_path:
-        annotations = H.load_annotations(_require_path(ann_path, "--annotations"))
+    if args.annotations:
+        annotations = H.load_annotations(_require_path(args.annotations, "--annotations"))
 
     with out.open("w", encoding="utf-8") as fh:
         for record in dataset:
-            tokens = [t.surface for t in tokenize(record.text).tokens]
+            # an annotation table replaces the tokens, so only the builtin annotator needs them
+            tokens = ([] if annotations is not None
+                      else [t.surface for t in tokenize(record.text).tokens])
             annotated = H.annotate(tokens, annotations, record.id)
             label, trace = H.classify_target(annotated, lexicon)
             fh.write(f"{record.id}\t{label}\t{trace.rule_fired}\n")
@@ -377,28 +344,11 @@ def cmd_taskb(args) -> int:
 def cmd_build_lexicon(args) -> int:
     dataset = _load_dataset(args)
     out = _out_path(args)
-    k = int(_resolve(args, "k"))
-    if k == 0:
+    if args.k == 0:
         logger.warning("k=0 produces an empty lexicon")
-    stop_path = _resolve(args, "stoplist", default="")
-    stoplist = (
-        H.default_stoplist()
-        if not stop_path
-        else frozenset(
-            line.strip()
-            for line in _require_path(stop_path, "--stoplist").read_text("utf-8").splitlines()
-            if line.strip()
-        )
-    )
-    overrides: frozenset[str] = frozenset()
-    over_path = _resolve(args, "overrides", default="")
-    if over_path:
-        overrides = frozenset(
-            line.strip()
-            for line in _require_path(over_path, "--overrides").read_text("utf-8").splitlines()
-            if line.strip()
-        )
-    lexicon = H.build_lexicon(dataset, stoplist, k, overrides)
+    stoplist = _read_items(args.stoplist, "--stoplist") if args.stoplist else H.default_stoplist()
+    overrides = _read_items(args.overrides, "--overrides") if args.overrides else frozenset()
+    lexicon = H.build_lexicon(dataset, stoplist, args.k, overrides)
     lexicon.to_file(out)
     logger.info(
         "lexicon with %d hashtag(s) and %d token(s) written to %s",
@@ -419,11 +369,8 @@ HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config_path = getattr(args, "config", None)
-        args._config_values = _load_config_file(config_path) if config_path else {}
+        args = parse_args(argv)
         return HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

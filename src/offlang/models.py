@@ -42,8 +42,6 @@ ARCH_CNN = "cnn"
 ARCH_BLSTM_ATT = "blstm_att"
 ARCH_BLSTM_BGRU = "blstm_bgru"
 
-ARCHITECTURES = (ARCH_CNN, ARCH_BLSTM_ATT, ARCH_BLSTM_BGRU)
-
 EMBEDDING_DIM = 200
 WORD_DROPOUT = 0.3
 

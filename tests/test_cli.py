@@ -1,9 +1,23 @@
+import inspect
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import offlang.cli as cli
+import offlang.heuristics as heuristics
 from conftest import write_olid
 from offlang.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from offlang.embeddings import EmbeddingTable, Vocabulary
+from offlang.models import ARCH_CNN, BUILDERS
+from offlang.nn import save_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TRAIN_ROWS = [
     ("1", "you are a total disgrace", "OFF", "TIN"),
@@ -282,6 +296,12 @@ def test_evaluate_task_b_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy  1.0000" in out  # rules 1, 3, 4 each fire correctly
 
+    # choices are not checked on config values: any task but A scores task B
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("task=C\n", encoding="utf-8")
+    assert main(["evaluate", str(preds), str(gold), "--config", str(cfg)]) == EXIT_OK
+    assert "accuracy  1.0000" in capsys.readouterr().out
+
 
 def test_taskb_missing_lexicon(train_tsv, tmp_path):
     code = main([
@@ -291,7 +311,11 @@ def test_taskb_missing_lexicon(train_tsv, tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_taskb_external_annotations(tmp_path):
+def test_taskb_external_annotations(tmp_path, monkeypatch):
+    def no_tokenizer(text):
+        raise AssertionError("an annotation table needs no tokens")
+
+    monkeypatch.setattr(cli, "tokenize", no_tokenizer)
     data = write_olid(tmp_path / "b.tsv", [("7", "anything at all", "OFF", "UNT")])
     ann = tmp_path / "ann.tsv"
     ann.write_text("7\tyou/PRP are/V scum/OTHER\t-\n", encoding="utf-8")
@@ -345,3 +369,151 @@ def test_train_preprocesses_each_row_once(train_tsv, embeddings_file, train_conf
         "--config", str(train_config),
     ]) == EXIT_OK
     assert sorted(texts) == sorted(text for _, text, _, _ in TRAIN_ROWS)
+
+
+# option: (default, config value, flag value), for every option with a type;
+# the first ten are train's
+TYPED_OPTIONS = {
+    "seed": (42, 7, 5),
+    "split_seed": (42, 8, 6),
+    "learning_rate": (1e-3, 0.01, 0.05),
+    "batch_size": (32, 4, 2),
+    "max_epochs": (50, 2, 3),
+    "patience": (3, 1, 2),
+    "validation_fraction": (0.1, 0.34, 0.25),
+    "min_count": (1, 2, 3),
+    "embedding_dim": (200, 8, 6),
+    "max_len": (200, 16, 12),
+    "threshold": (0.5, 0.25, 0.75),
+    "k": (100, 3, 5),
+    "task": ("A", "B", "A"),
+}
+
+
+class _Reached(BaseException):
+    """Stops a command once its option values have reached the library."""
+
+
+def _values_reaching_library(monkeypatch, argvs) -> dict:
+    seen = {}
+
+    def stand_in(module, name, params, result=None):
+        bind = inspect.signature(getattr(module, name)).bind
+
+        def fake(*args, **kwargs):
+            bound = bind(*args, **kwargs).arguments
+            seen.update((option, bound[param]) for param, option in params.items())
+            if result is None:
+                raise _Reached
+            return result(bound)
+
+        monkeypatch.setattr(module, name, fake)
+
+    same = lambda *names: {name: name for name in names}
+    stand_in(cli, "encode_split",
+             same("validation_fraction", "split_seed", "min_count", "max_len"),
+             lambda bound: (Vocabulary({}), None, None))
+    stand_in(cli, "load_embeddings", {"expected_dim": "embedding_dim"},
+             lambda bound: EmbeddingTable(bound["expected_dim"], {}))
+    stand_in(cli, "TrainConfig", same("learning_rate", "batch_size", "max_epochs", "patience",
+                                      "seed"))
+    stand_in(cli, "ensemble_predict", same("threshold"))
+    stand_in(cli, "_read_predictions", same("task"))
+    stand_in(heuristics, "build_lexicon", same("k"))
+    monkeypatch.setattr(cli, "load_model", lambda path: (None, {}, 16))
+    for argv in argvs:
+        with pytest.raises(_Reached):
+            main(argv)
+    return seen
+
+
+@pytest.mark.parametrize("source", ["default", "config", "flag"])
+def test_typed_options_reach_the_library_with_their_types(source, train_tsv, tmp_path,
+                                                          monkeypatch):
+    # a flag wins over a config value, which wins over the default
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k}={v[1]}\n" for k, v in TYPED_OPTIONS.items()), encoding="utf-8")
+
+    def options(*names):
+        config = ["--config", str(cfg)] if source != "default" else []
+        flags = [f"--{n.replace('_', '-')}={TYPED_OPTIONS[n][2]}" for n in names]
+        return config + (flags if source == "flag" else [])
+
+    data = ["--data", str(train_tsv)]
+    seen = _values_reaching_library(monkeypatch, [
+        ["train", "--arch", "cnn", *data, "--embeddings", str(train_tsv),
+         "--out", str(tmp_path / "m.bin"), *options(*list(TYPED_OPTIONS)[:10])],
+        ["predict", str(train_tsv), *data, "--out", str(tmp_path / "p.tsv"),
+         *options("threshold")],
+        ["evaluate", str(train_tsv), str(train_tsv), *options("task")],
+        ["build-lexicon", *data, "--out", str(tmp_path / "l.txt"), *options("k")],
+    ])
+    column = ("default", "config", "flag").index(source)
+    expected = {k: v[column] for k, v in TYPED_OPTIONS.items()}
+    assert seen == expected
+    assert {k: type(v) for k, v in seen.items()} == {k: type(v) for k, v in expected.items()}
+
+
+@pytest.fixture
+def untrained_model(tmp_path):
+    words = sorted({w for _, text, _, _ in TRAIN_ROWS for w in text.split()})
+    matrix = np.random.default_rng(0).uniform(-0.05, 0.05, (len(words) + 2, 8))
+    path = tmp_path / "untrained.bin"
+    save_model(path, BUILDERS[ARCH_CNN](matrix.astype(np.float32), expected_dim=8, seed=0),
+               {w: i for i, w in enumerate(words, start=2)}, 16)
+    return path
+
+
+@pytest.mark.parametrize("command, flags, config, code", [
+    # choices are not checked on config values; the lookup of the arch fails
+    ("train", [], "arch=lstm", EXIT_RUNTIME),
+    # a malformed config value fails like a malformed flag value after parsing,
+    # also where a flag overrides it or the subcommand does not read it
+    ("train", ["--arch", "cnn", "--batch-size", "4"], "batch_size=x", EXIT_RUNTIME),
+    ("predict", [], "seed=abc", EXIT_RUNTIME),
+    ("predict", [], "seed=3", EXIT_OK),
+    # a key naming no option is ignored
+    ("build-lexicon", [], "learnign_rate=5", EXIT_OK),
+    # so is a flag that takes no value: this input stays read as labelled
+    ("preprocess", [], "unlabeled=true", EXIT_RUNTIME),
+])
+def test_config_file_values(command, flags, config, code, train_tsv, embeddings_file,
+                            untrained_model, tmp_path):
+    unlabeled = write_olid(tmp_path / "u.tsv", [("x1", "nice day")], has_labels=False)
+    argv = {
+        "train": ["--data", str(train_tsv), "--embeddings", str(embeddings_file),
+                  "--embedding-dim", "8", "--max-len", "16", "--max-epochs", "1",
+                  "--validation-fraction", "0.34"],
+        "predict": [str(untrained_model), "--data", str(train_tsv)],
+        "build-lexicon": ["--data", str(train_tsv)],
+        "preprocess": ["--data", str(unlabeled)],
+    }[command]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config + "\n", encoding="utf-8")
+    assert main([command, *argv, *flags, "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == code
+
+
+HELP_FLAGS = {
+    "preprocess": "--config --data --help --norm-table --out --seed --seg-dict --unlabeled",
+    "train": "--arch --batch-size --config --data --embedding-dim --embeddings --exclude --help "
+             "--learning-rate --max-epochs --max-len --min-count --norm-table --out --patience "
+             "--seed --seg-dict --split-seed --validation-fraction",
+    "predict": "--config --data --help --norm-table --out --seed --seg-dict --threshold "
+               "--unlabeled",
+    "evaluate": "--config --help --norm-table --out --seed --seg-dict --task",
+    "taskb": "--annotations --config --data --help --lexicon --norm-table --out --seed "
+             "--seg-dict --unlabeled",
+    "build-lexicon": "--config --data --help --k --norm-table --out --overrides --seed "
+                     "--seg-dict --stoplist",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS))
+def test_entry_point_help_lists_the_flags(command):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "offlang.cli", command, "--help"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert set(re.findall(r"--[a-z][a-z-]*", result.stdout)) == set(HELP_FLAGS[command].split())
