@@ -80,6 +80,13 @@ def _require_path(value, flag: str) -> Path:
     return path
 
 
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The option table: the top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="offlang", description=__doc__.splitlines()[0])
@@ -121,7 +128,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("models", nargs="+", help="model file(s); more than one averages")
     p.add_argument("--data", help="input dataset TSV")
     p.add_argument("--out", help="predictions TSV output")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_unit_interval, default=0.5)
     p.add_argument("--unlabeled", action="store_true", help="input has no label columns")
 
     p = add("evaluate", "score a predictions file against gold labels")
@@ -149,19 +156,29 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse ``argv``; with ``--config``, parse it again with the config values,
-    converted by each option's ``type``, as the subcommand's defaults, so flags
-    still win. Keys naming no value option of the subcommand are ignored."""
+    converted by each option's ``type`` and checked against its ``choices``, as
+    the subcommand's defaults, so flags still win. Keys naming no value option
+    of the subcommand are ignored."""
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         values = _load_config_file(args.config)
         sub = subparsers[args.command]
+        defaults = {}
+        for a in sub._actions:
+            if not (a.option_strings and a.nargs != 0 and a.dest != "config"
+                    and a.dest in values):
+                continue
+            try:
+                value = a.type(values[a.dest]) if a.type else values[a.dest]
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{args.config}: {a.dest}: {exc}") from None
+            if a.choices is not None and value not in a.choices:
+                raise UsageError(f"{args.config}: {a.dest}: invalid choice {value!r} "
+                                 f"(choose from {', '.join(map(repr, a.choices))})")
+            defaults[a.dest] = value
         # not a pre-filled namespace: a subparser's defaults would overwrite it
-        sub.set_defaults(**{
-            a.dest: a.type(values[a.dest]) if a.type else values[a.dest]
-            for a in sub._actions
-            if a.option_strings and a.nargs != 0 and a.dest != "config" and a.dest in values
-        })
+        sub.set_defaults(**defaults)
         args = parser.parse_args(argv)
     return args
 

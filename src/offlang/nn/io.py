@@ -9,6 +9,7 @@ sequence length, and the vocabulary, so a write/read round trip is exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -76,30 +77,52 @@ def save_model(path, model: L.ModelGraph, vocabulary: dict[str, int], max_len: i
             fh.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
 
 
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ModelFormatError(f"{path}: file ends inside the {what}")
+    return data
+
+
 def load_model(path):
-    """Read a model container; returns (model, vocabulary, max_len)."""
+    """Read a model container; returns (model, vocabulary, max_len).
+
+    Any malformed or truncated file raises ModelFormatError.
+    """
     path = Path(path)
     with path.open("rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ModelFormatError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "format version"))
         if version != FORMAT_VERSION:
             raise ModelFormatError(f"{path}: unsupported format version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        model = L.ModelGraph(
-            header["architecture"], [_build_layer(c) for c in header["layers"]]
-        )
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if header_len > remaining:
+            raise ModelFormatError(
+                f"{path}: header length {header_len} exceeds the {remaining} bytes left"
+            )
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            model = L.ModelGraph(
+                header["architecture"], [_build_layer(c) for c in header["layers"]]
+            )
+            declared = [(str(m["name"]), tuple(m["shape"])) for m in header["parameters"]]
+            vocabulary = {str(k): int(v) for k, v in header["vocabulary"].items()}
+            max_len = int(header["max_len"])
+        except ModelFormatError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # ValueError covers undecodable UTF-8, invalid JSON and bad layer values
+            raise ModelFormatError(f"{path}: bad header: {exc!r}") from None
         params = model.parameters()
-        declared = header["parameters"]
         if len(declared) != len(params):
             raise ModelFormatError(f"{path}: parameter list does not match architecture")
-        for p, meta in zip(params, declared):
-            shape = tuple(meta["shape"])
+        for p, (name, shape) in zip(params, declared):
             if p.value.shape != shape:
                 raise ModelFormatError(
-                    f"{path}: shape mismatch for {meta['name']}: "
+                    f"{path}: shape mismatch for {name}: "
                     f"{shape} in header vs {p.value.shape} in graph"
                 )
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -110,5 +133,4 @@ def load_model(path):
         trailing = fh.read(1)
         if trailing:
             raise ModelFormatError(f"{path}: trailing bytes after parameter data")
-    vocabulary = {str(k): int(v) for k, v in header["vocabulary"].items()}
-    return model, vocabulary, int(header["max_len"])
+    return model, vocabulary, max_len

@@ -9,7 +9,10 @@ Conventions:
   * recurrent layers carry state through padded steps unchanged, so outputs
     do not depend on the amount of padding;
   * `forward(..., train=True)` caches activations for one `backward` call;
-    inference-mode forwards cache nothing and are pure.
+    inference-mode forwards cache nothing and are pure;
+  * the last bit of the attention softmax denominator depends on the padded
+    width (numpy sums a row pairwise), so `predict_proba` cuts each batch
+    only to widths that keep that sum, and every probability, unchanged.
 """
 from __future__ import annotations
 
@@ -113,7 +116,7 @@ class Embedding(Layer):
 
     def forward(self, indices, lengths, train=False, rng=None):
         indices = np.asarray(indices)
-        if indices.max(initial=0) >= self.weights.value.shape[0]:
+        if indices.min(initial=0) < 0 or indices.max(initial=0) >= self.weights.value.shape[0]:
             raise ShapeError("token index out of vocabulary range")
         out = self.weights.value[indices]
         mask = None

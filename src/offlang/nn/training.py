@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ModelGraph
+from .layers import Conv1D, ModelGraph
 from .losses import bce_loss, bce_loss_grad
 from .optim import Adam
 
@@ -79,14 +79,50 @@ class EarlyStopper:
         return self.waited >= self.patience
 
 
+def _inference_width(model: ModelGraph, steps: int, longest: int) -> int:
+    """How many of ``steps`` padded columns a batch needs for the same bytes.
+
+    Every inference layer ignores padding exactly except the attention
+    softmax denominator, a float32 row sum that numpy adds pairwise: the
+    first leaf of up to 128 elements goes into 8 interleaved partial sums,
+    a length that is not a multiple of 8 leaves a tail that is added one by
+    one, and longer rows are split at half their length rounded down to a
+    multiple of 8 (96 of 200). So a width that is a multiple of 8 inside
+    that first leaf sees the same partial sums as the full width, whose
+    other leaves add zeros; any other width can change the last bit.
+
+    The width also covers the widest convolution window, which the
+    fallback for rows shorter than it reads, and is at least 16: a
+    convolution's GEMM over only a few output rows can take a BLAS
+    small-matrix kernel that sums its 600- or 800-long inner dimension in
+    another order (OpenBLAS on AVX-512 does so for width 8 at paper size).
+    """
+    leaf = steps
+    while leaf > 128:
+        leaf = leaf // 2 - (leaf // 2) % 8
+    leaf -= leaf % 8
+    layers = list(model.layers)
+    for layer in layers:  # appending while iterating also walks nested branches
+        layers.extend(l for branch in getattr(layer, "branches", ()) for l in branch)
+    widest = max((l.width for l in layers if isinstance(l, Conv1D)), default=1)
+    width = -(-max(longest, widest, 16) // 8) * 8
+    return width if width <= leaf else steps
+
+
 def predict_proba(model: ModelGraph, X, lengths, batch_size: int = 128) -> np.ndarray:
-    """Deterministic inference probabilities, computed in batches."""
+    """Deterministic inference probabilities, computed in batches.
+
+    Each batch is cut to the columns its longest row needs (see
+    ``_inference_width``); the probabilities equal those of the full
+    padded batch bit for bit.
+    """
     X = np.asarray(X)
     lengths = np.asarray(lengths)
     pieces = []
     for start in range(0, X.shape[0], batch_size):
         stop = start + batch_size
-        pieces.append(model.forward(X[start:stop], lengths[start:stop], train=False))
+        width = _inference_width(model, X.shape[1], int(lengths[start:stop].max()))
+        pieces.append(model.forward(X[start:stop, :width], lengths[start:stop], train=False))
     return np.concatenate(pieces) if pieces else np.zeros(0)
 
 

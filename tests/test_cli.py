@@ -296,11 +296,11 @@ def test_evaluate_task_b_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy  1.0000" in out  # rules 1, 3, 4 each fire correctly
 
-    # choices are not checked on config values: any task but A scores task B
+    # a config value outside the option's choices is a usage error, as a flag is
     cfg = tmp_path / "c.cfg"
     cfg.write_text("task=C\n", encoding="utf-8")
-    assert main(["evaluate", str(preds), str(gold), "--config", str(cfg)]) == EXIT_OK
-    assert "accuracy  1.0000" in capsys.readouterr().out
+    assert main(["evaluate", str(preds), str(gold), "--config", str(cfg)]) == EXIT_USAGE
+    assert "accuracy" not in capsys.readouterr().out
 
 
 def test_taskb_missing_lexicon(train_tsv, tmp_path):
@@ -465,8 +465,8 @@ def untrained_model(tmp_path):
 
 
 @pytest.mark.parametrize("command, flags, config, code", [
-    # choices are not checked on config values; the lookup of the arch fails
-    ("train", [], "arch=lstm", EXIT_RUNTIME),
+    # a config value outside the option's choices is a usage error, as a flag is
+    ("train", [], "arch=lstm", EXIT_USAGE),
     # a malformed config value fails like a malformed flag value after parsing,
     # also where a flag overrides it or the subcommand does not read it
     ("train", ["--arch", "cnn", "--batch-size", "4"], "batch_size=x", EXIT_RUNTIME),
@@ -476,6 +476,10 @@ def untrained_model(tmp_path):
     ("build-lexicon", [], "learnign_rate=5", EXIT_OK),
     # so is a flag that takes no value: this input stays read as labelled
     ("preprocess", [], "unlabeled=true", EXIT_RUNTIME),
+    # a threshold outside [0, 1] is a usage error from either source
+    ("predict", [], "threshold=1.5", EXIT_USAGE),
+    ("predict", ["--threshold", "-0.1"], "threshold=0.5", EXIT_USAGE),
+    ("predict", [], "threshold=1", EXIT_OK),
 ])
 def test_config_file_values(command, flags, config, code, train_tsv, embeddings_file,
                             untrained_model, tmp_path):

@@ -16,7 +16,8 @@ from offlang.models import (
     ensemble_proba,
     label_for,
 )
-from offlang.nn import AdditiveAttention, Dense, ParallelConcat, predict_proba
+from offlang.nn import AdditiveAttention, Dense, ModelGraph, ParallelConcat, predict_proba
+from offlang.nn.training import _inference_width
 from offlang.preprocess import preprocess_pipeline
 
 
@@ -72,6 +73,56 @@ def test_extra_padding_never_changes_inference(tiny_matrix, builder):
         for extra in (1, 5, 40):
             padded = np.pad(X, ((0, 0), (0, extra)))
             assert np.array_equal(predict_proba(model, padded, lengths), reference)
+
+
+# longest row of a batch: <= 8, 9-16, 41-48, 89-96, and > 96 (full-width fallback)
+WIDTH_CLASSES = [(4, 8), (9, 16), (41, 48), (89, 96), (97, 200)]
+
+
+@pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
+def test_predict_proba_equals_full_width_forward(builder):
+    # paper dimensions: the trim must not move a bit, not even in the attention sum
+    rng = np.random.default_rng(21)
+    matrix = rng.uniform(-0.5, 0.5, size=(40, 200)).astype(np.float32)
+    model = builder(matrix, seed=6)
+    for low, high in WIDTH_CLASSES:
+        longest = int(rng.integers(low, high + 1))
+        lengths = np.array([0, 1, 2, 3, longest, *rng.integers(0, longest + 1, size=3)])
+        X = rng.integers(2, 40, size=(8, 200)).astype(np.int32)
+        X[np.arange(200) >= lengths[:, None]] = 0
+        full = model.forward(X, lengths, train=False)
+        assert np.array_equal(predict_proba(model, X, lengths), full), (low, high)
+
+
+def test_attention_unchanged_at_inference_width():
+    attention = AdditiveAttention(128, 128, rng=np.random.default_rng(2))
+    graph = ModelGraph("attention", [attention])
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        longest = int(rng.integers(9, 97))
+        lengths = np.append(rng.integers(9, longest + 1, size=31), longest)
+        x = rng.normal(size=(32, 200, 128)).astype(np.float32)
+        width = _inference_width(graph, 200, longest)
+        full, _ = attention.forward(x, lengths)
+        trimmed, _ = attention.forward(x[:, :width], lengths)
+        assert np.array_equal(trimmed, full), longest
+
+
+def test_predict_proba_trims_batches_to_their_longest_row(tiny_matrix, monkeypatch):
+    model = build_blstm_attention(tiny_matrix, units=3, hidden=4, expected_dim=16, seed=0)
+    embedding = model.layers[0]
+    seen = []
+    forward = embedding.forward
+
+    def spy(indices, lengths, train=False, rng=None):
+        seen.append(indices.shape[1])
+        return forward(indices, lengths, train, rng)
+
+    monkeypatch.setattr(embedding, "forward", spy)
+    X = np.ones((10, 200), dtype=np.int32)
+    predict_proba(model, X, np.full(10, 90))
+    predict_proba(model, X, np.array([150] + [20] * 9))
+    assert seen[0] <= 96 and seen[1] == 200
 
 
 def test_attention_model_handles_fully_padded_input(tiny_matrix):

@@ -134,6 +134,8 @@ def test_embedding_rejects_out_of_range():
     layer = Embedding(np.zeros((4, 2), dtype=np.float32))
     with pytest.raises(ShapeError):
         layer.forward(np.array([[9]]), None)
+    with pytest.raises(ShapeError):  # would otherwise wrap around to the last row
+        layer.forward(np.array([[2, -1]]), None)
 
 
 def test_dropout_infer_is_identity_and_backward_needs_cache():

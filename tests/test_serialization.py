@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,4 +61,47 @@ def test_truncated_file_rejected(tmp_path, tiny_matrix):
     blob = path.read_bytes()
     path.write_bytes(blob[:-10])
     with pytest.raises(ModelFormatError, match="truncated"):
+        load_model(path)
+
+
+def _container(header: bytes, declared_len: int | None = None) -> bytes:
+    length = len(header) if declared_len is None else declared_len
+    return b"OFNN" + struct.pack("<I", 1) + struct.pack("<Q", length) + header
+
+
+@pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe{}"], ids=["json", "utf8"])
+def test_undecodable_header_rejected(tmp_path, header):
+    path = tmp_path / "m.bin"
+    path.write_bytes(_container(header))
+    with pytest.raises(ModelFormatError, match="bad header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["architecture", "layers", "parameters", "vocabulary", "max_len"])
+def test_header_missing_key_rejected(tmp_path, tiny_matrix, key):
+    model = build_cnn(tiny_matrix, filters=4, hidden=4, expected_dim=16, seed=4)
+    path = tmp_path / "m.bin"
+    save_model(path, model, {"w": 2}, max_len=12)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + length])
+    del header[key]
+    path.write_bytes(_container(json.dumps(header).encode()) + blob[16 + length :])
+    with pytest.raises(ModelFormatError, match=key):
+        load_model(path)
+
+
+@pytest.mark.parametrize("size", [4, 6, 8, 12], ids=["no-version", "half-version",
+                                                      "no-length", "half-length"])
+def test_file_ending_before_header_rejected(tmp_path, size):
+    path = tmp_path / "m.bin"
+    path.write_bytes(_container(b"{}")[:size])
+    with pytest.raises(ModelFormatError, match="file ends inside"):
+        load_model(path)
+
+
+def test_header_length_beyond_file_rejected(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(_container(b"{}", declared_len=2**62))
+    with pytest.raises(ModelFormatError, match="exceeds"):
         load_model(path)
