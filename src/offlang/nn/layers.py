@@ -18,6 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# Rows per block where a layer would otherwise copy a whole (batch, time,
+# features) array: Conv1D's inference windows and MaxOverTime's masked copy.
+# Both work one row at a time (numpy multiplies a stack of matrices one
+# matrix at a time), so blocks give the same bytes as the whole batch while
+# the copies stay small at any padded width.
+ROW_BLOCK = 8
+
 
 class ShapeError(ValueError):
     """Input does not fit the layer configuration."""
@@ -262,15 +269,26 @@ class Conv1D(Layer):
             raise ShapeError(f"expected {self.in_dim} input features, got {dim}")
         if steps < self.width:
             raise ShapeError(f"sequence length {steps} shorter than filter width {self.width}")
+        out_lengths = None if lengths is None else np.maximum(lengths - (self.width - 1), 0)
+        if train:
+            cols, z = self._convolve(x)
+            self._cache = (cols, z > 0, x.shape)
+            return np.maximum(z, 0), out_lengths
+        y = np.empty((batch, steps - self.width + 1, self.filters), dtype=x.dtype)
+        for start in range(0, batch, ROW_BLOCK):
+            _, z = self._convolve(x[start : start + ROW_BLOCK])
+            np.maximum(z, 0, out=y[start : start + ROW_BLOCK])
+        return y, out_lengths
+
+    def _convolve(self, x):
+        """(window columns, pre-activation) of the valid convolution of x."""
+        batch, steps, _ = x.shape
         out_steps = steps - self.width + 1
         windows = np.stack([x[:, i : i + out_steps, :] for i in range(self.width)], axis=2)
         cols = windows.reshape(batch, out_steps, self.width * self.in_dim)
-        z = cols @ self.weights.value.reshape(-1, self.filters) + self.bias.value
-        y = np.maximum(z, 0)
-        out_lengths = None if lengths is None else np.maximum(lengths - (self.width - 1), 0)
-        if train:
-            self._cache = (cols, z > 0, x.shape)
-        return y, out_lengths
+        z = cols @ self.weights.value.reshape(-1, self.filters)
+        z += self.bias.value
+        return cols, z
 
     def backward(self, grad):
         cols, relu_mask, x_shape = self._take_cache()
@@ -303,8 +321,10 @@ class MaxOverTime(Layer):
     def forward(self, x, lengths, train=False, rng=None):
         batch, steps, dim = x.shape
         valid = length_mask(lengths, batch, steps, min_one=True)
-        lowered = np.where(valid[:, :, None], x, -np.inf)
-        arg = lowered.argmax(axis=1)  # (batch, dim)
+        arg = np.empty((batch, dim), dtype=np.intp)
+        for start in range(0, batch, ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            arg[block] = np.where(valid[block, :, None], x[block], -np.inf).argmax(axis=1)
         out = np.take_along_axis(x, arg[:, None, :], axis=1)[:, 0, :]
         if train:
             self._cache = (arg, x.shape)
@@ -397,20 +417,26 @@ class AdditiveAttention(Layer):
         return {"type": "attention", "in_dim": self.in_dim, "units": self.units}
 
 
-def _lstm_direction_forward(x, lengths, W, U, b, reverse):
-    """One LSTM direction. Gate order: input, forget, cell candidate, output."""
+def _lstm_direction_forward(x, lengths, W, U, b, reverse, train):
+    """One LSTM direction. Gate order: input, forget, cell candidate, output.
+
+    Only a train-mode call fills the per-step arrays ``backward`` reads;
+    otherwise the cache is None.
+    """
     batch, steps, _ = x.shape
     units = U.shape[0]
-    xp = x @ W + b  # (B, L, 4u)
+    xp = x @ W  # (B, L, 4u)
+    xp += b
     mask = length_mask(lengths, batch, steps).astype(x.dtype)
     h = np.zeros((batch, units), dtype=x.dtype)
     c = np.zeros((batch, units), dtype=x.dtype)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     outputs = np.zeros((batch, steps, units), dtype=x.dtype)
-    gates = np.zeros((steps, batch, 4 * units), dtype=x.dtype)
-    tanh_c = np.zeros((steps, batch, units), dtype=x.dtype)
-    h_prev = np.zeros((steps, batch, units), dtype=x.dtype)
-    c_prev = np.zeros((steps, batch, units), dtype=x.dtype)
+    if train:
+        gates = np.zeros((steps, batch, 4 * units), dtype=x.dtype)
+        tanh_c = np.zeros((steps, batch, units), dtype=x.dtype)
+        h_prev = np.zeros((steps, batch, units), dtype=x.dtype)
+        c_prev = np.zeros((steps, batch, units), dtype=x.dtype)
     for t in order:
         m = mask[:, t : t + 1]
         a = xp[:, t] + h @ U
@@ -421,14 +447,15 @@ def _lstm_direction_forward(x, lengths, W, U, b, reverse):
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         h_new = o * tc
-        gates[t] = np.concatenate([i, f, g, o], axis=1)
-        tanh_c[t] = tc
-        h_prev[t] = h
-        c_prev[t] = c
+        if train:
+            gates[t] = np.concatenate([i, f, g, o], axis=1)
+            tanh_c[t] = tc
+            h_prev[t] = h
+            c_prev[t] = c
         c = m * c_new + (1.0 - m) * c
         h = m * h_new + (1.0 - m) * h
         outputs[:, t] = m * h_new
-    cache = (gates, tanh_c, h_prev, c_prev, mask, order)
+    cache = (gates, tanh_c, h_prev, c_prev, mask, order) if train else None
     return outputs, h, cache
 
 
@@ -470,32 +497,37 @@ def _lstm_direction_backward(douts, dh_final, cache, x, W, U):
     return dx, dW, dU, db
 
 
-def _gru_direction_forward(x, lengths, W, U, b, reverse):
+def _gru_direction_forward(x, lengths, W, U, b, reverse, train):
     """One GRU direction. Gate order: update, reset, candidate.
 
     h_t = z * h_{t-1} + (1 - z) * tanh(x W_n + (r * h_{t-1}) U_n + b_n)
+
+    Only a train-mode call fills the per-step arrays ``backward`` reads.
     """
     batch, steps, _ = x.shape
     units = U.shape[0]
-    xp = x @ W + b  # (B, L, 3u)
+    xp = x @ W  # (B, L, 3u)
+    xp += b
     mask = length_mask(lengths, batch, steps).astype(x.dtype)
     h = np.zeros((batch, units), dtype=x.dtype)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     outputs = np.zeros((batch, steps, units), dtype=x.dtype)
-    zs = np.zeros((steps, batch, units), dtype=x.dtype)
-    rs = np.zeros((steps, batch, units), dtype=x.dtype)
-    ns = np.zeros((steps, batch, units), dtype=x.dtype)
-    h_prev = np.zeros((steps, batch, units), dtype=x.dtype)
+    if train:
+        zs = np.zeros((steps, batch, units), dtype=x.dtype)
+        rs = np.zeros((steps, batch, units), dtype=x.dtype)
+        ns = np.zeros((steps, batch, units), dtype=x.dtype)
+        h_prev = np.zeros((steps, batch, units), dtype=x.dtype)
     for t in order:
         m = mask[:, t : t + 1]
         z = sigmoid(xp[:, t, :units] + h @ U[:, :units])
         r = sigmoid(xp[:, t, units : 2 * units] + h @ U[:, units : 2 * units])
         n = np.tanh(xp[:, t, 2 * units :] + (r * h) @ U[:, 2 * units :])
         h_new = z * h + (1.0 - z) * n
-        zs[t], rs[t], ns[t], h_prev[t] = z, r, n, h
+        if train:
+            zs[t], rs[t], ns[t], h_prev[t] = z, r, n, h
         h = m * h_new + (1.0 - m) * h
         outputs[:, t] = m * h_new
-    cache = (zs, rs, ns, h_prev, mask, order)
+    cache = (zs, rs, ns, h_prev, mask, order) if train else None
     return outputs, h, cache
 
 
@@ -587,7 +619,7 @@ class Bidirectional(Layer):
         for tag, reverse in (("fw", False), ("bw", True)):
             W, U, b = (p.value for p in self.params[tag])
             outs[tag], finals[tag], caches[tag] = self.direction_forward(
-                inputs[tag], lengths, W, U, b, reverse
+                inputs[tag], lengths, W, U, b, reverse, train
             )
         if self.return_sequences:
             y, out_lengths = np.concatenate([outs["fw"], outs["bw"]], axis=2), lengths

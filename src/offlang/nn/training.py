@@ -79,6 +79,34 @@ class EarlyStopper:
         return self.waited >= self.patience
 
 
+def _first_leaf(steps: int) -> int:
+    """Widest multiple of 8 inside the first leaf of numpy's pairwise sum."""
+    leaf = steps
+    while leaf > 128:
+        leaf = leaf // 2 - (leaf // 2) % 8
+    return leaf - leaf % 8
+
+
+def _inference_rows(batch_size: int, steps: int, width: int) -> int:
+    """Rows per forward call for a batch ``width`` columns wide.
+
+    A batch that needs the full padded width runs in blocks of a multiple
+    of 16 rows covering at most the cells of a full batch at the first-leaf
+    width (48 rows of 200 against 128 of 96), so the largest inference
+    arrays, and peak memory, hardly depend on how long the longest tweets
+    are. Rows are independent in every layer, but BLAS handles a matrix in
+    groups of rows and the rows left over at its end take another code
+    path: the final layer's matrix-vector product changes the last bit of
+    a row that moves out of its group of 4. Blocks that start on a
+    multiple of 16 keep every row in the same group as in the whole batch,
+    so the probabilities stay those of the whole batch.
+    """
+    budget = batch_size * _first_leaf(steps)
+    if width * batch_size <= budget:
+        return batch_size
+    return max(16, budget // width // 16 * 16)
+
+
 def _inference_width(model: ModelGraph, steps: int, longest: int) -> int:
     """How many of ``steps`` padded columns a batch needs for the same bytes.
 
@@ -97,10 +125,7 @@ def _inference_width(model: ModelGraph, steps: int, longest: int) -> int:
     small-matrix kernel that sums its 600- or 800-long inner dimension in
     another order (OpenBLAS on AVX-512 does so for width 8 at paper size).
     """
-    leaf = steps
-    while leaf > 128:
-        leaf = leaf // 2 - (leaf // 2) % 8
-    leaf -= leaf % 8
+    leaf = _first_leaf(steps)
     layers = list(model.layers)
     for layer in layers:  # appending while iterating also walks nested branches
         layers.extend(l for branch in getattr(layer, "branches", ()) for l in branch)
@@ -113,16 +138,20 @@ def predict_proba(model: ModelGraph, X, lengths, batch_size: int = 128) -> np.nd
     """Deterministic inference probabilities, computed in batches.
 
     Each batch is cut to the columns its longest row needs (see
-    ``_inference_width``); the probabilities equal those of the full
-    padded batch bit for bit.
+    ``_inference_width``) and a batch that needs every column runs in
+    smaller row blocks (see ``_inference_rows``); the probabilities equal
+    those of the full padded batch bit for bit.
     """
     X = np.asarray(X)
     lengths = np.asarray(lengths)
     pieces = []
     for start in range(0, X.shape[0], batch_size):
-        stop = start + batch_size
+        stop = min(start + batch_size, X.shape[0])
         width = _inference_width(model, X.shape[1], int(lengths[start:stop].max()))
-        pieces.append(model.forward(X[start:stop, :width], lengths[start:stop], train=False))
+        rows = _inference_rows(batch_size, X.shape[1], width)
+        for block in range(start, stop, rows):
+            end = min(block + rows, stop)
+            pieces.append(model.forward(X[block:end, :width], lengths[block:end], train=False))
     return np.concatenate(pieces) if pieces else np.zeros(0)
 
 

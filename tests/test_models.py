@@ -17,7 +17,7 @@ from offlang.models import (
     label_for,
 )
 from offlang.nn import AdditiveAttention, Dense, ModelGraph, ParallelConcat, predict_proba
-from offlang.nn.training import _inference_width
+from offlang.nn.training import _inference_rows, _inference_width
 from offlang.preprocess import preprocess_pipeline
 
 
@@ -92,6 +92,28 @@ def test_predict_proba_equals_full_width_forward(builder):
         X[np.arange(200) >= lengths[:, None]] = 0
         full = model.forward(X, lengths, train=False)
         assert np.array_equal(predict_proba(model, X, lengths), full), (low, high)
+
+
+@pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
+def test_full_width_batches_in_row_blocks_equal_whole_batch_forward(builder):
+    # a long tweet sends its 128-row batch through in 48-row blocks
+    rng = np.random.default_rng(22)
+    matrix = rng.uniform(-0.5, 0.5, size=(40, 200)).astype(np.float32)
+    model = builder(matrix, seed=7)
+    lengths = rng.integers(0, 97, size=222)
+    lengths[[5, 130]] = [150, 200]
+    X = rng.integers(2, 40, size=(222, 200)).astype(np.int32)
+    X[np.arange(200) >= lengths[:, None]] = 0
+    whole = [model.forward(X[s : s + 128], lengths[s : s + 128], train=False) for s in (0, 128)]
+    assert np.array_equal(predict_proba(model, X, lengths), np.concatenate(whole))
+
+
+def test_inference_rows_bound_the_cells_of_a_forward():
+    assert _inference_rows(128, 200, 96) == 128
+    assert _inference_rows(128, 200, 200) == 48  # 9,600 cells against 128 x 96
+    assert _inference_rows(128, 40, 40) == 128  # the whole width is the first leaf
+    assert _inference_rows(8, 200, 200) == 16  # more than the batch: one block
+    assert all(_inference_rows(128, steps, steps) % 16 == 0 for steps in range(8, 400))
 
 
 def test_attention_unchanged_at_inference_width():

@@ -224,3 +224,18 @@ def test_inference_forward_leaves_layer_state_unchanged(case):
     before = _state(vars(layer))
     layer.forward(x, lengths, train=False, rng=rng(3))
     assert _state(vars(layer)) == before
+
+
+@pytest.mark.parametrize("layer", [
+    Conv1D(5, 4, 3, rng=rng(1), dtype=np.float32),
+    BiLSTM(5, 3, rng=rng(2), dtype=np.float32),
+    BiGRU(5, 3, rng=rng(3), dtype=np.float32),
+], ids=["conv1d", "bilstm", "bigru"])
+def test_inference_forward_equals_train_forward_bit_for_bit(layer):
+    # inference skips the backward caches and, in Conv1D, works in row blocks
+    x = rng(4).normal(size=(19, 7, 5)).astype(np.float32)
+    lengths = rng(5).integers(0, 8, size=19)
+    y_train, len_train = layer.forward(x, lengths, train=True)
+    y_infer, len_infer = layer.forward(x, lengths, train=False)
+    assert np.array_equal(y_infer, y_train)
+    assert np.array_equal(len_infer, len_train)
