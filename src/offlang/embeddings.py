@@ -22,7 +22,7 @@ MAX_LEN = 200
 
 
 class EmbeddingFormatError(ValueError):
-    """The vector file yielded no usable entries."""
+    """The vector file is not UTF-8 or yielded no usable entries."""
 
 
 @dataclass(frozen=True)
@@ -49,35 +49,66 @@ def load_embeddings(
 
     Lines with the wrong number of values (or unparseable floats) are
     skipped and counted; duplicate words keep their first vector. A file
-    with no valid line at all is an error. ``only`` restricts the table to
-    the given words, which keeps memory flat when the vector file is far
-    larger than the corpus vocabulary.
+    with no valid line at all, or one that is not UTF-8, is an error.
+
+    ``only`` restricts the table to the given words, which keeps memory
+    flat when the vector file is far larger than the corpus vocabulary.
+    Once one valid line has been seen, the line of a word outside ``only``
+    is dropped after reading its first field, without parsing its values;
+    so with ``only``, ``skipped_lines`` counts the malformed lines of
+    wanted words alone. The lines of wanted words, and every line when
+    ``only`` is None, are parsed in full, duplicates included.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     skipped = 0
     any_valid = False
     with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\r\n").split()
-            if len(parts) != expected_dim + 1:
-                skipped += 1
-                continue
-            word = parts[0]
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
-            except ValueError:
-                skipped += 1
-                continue
-            any_valid = True
-            if word in vectors or (only is not None and word not in only):
-                continue
-            vectors[word] = vec
+        try:
+            for line in fh:
+                wanted = True
+                if only is not None:
+                    head = line.split(None, 1)
+                    wanted = bool(head) and head[0] in only
+                    if not wanted and any_valid:
+                        continue
+                parts = line.rstrip("\r\n").split()
+                if len(parts) != expected_dim + 1:
+                    skipped += wanted
+                    continue
+                word = parts[0]
+                try:
+                    vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+                except ValueError:
+                    skipped += wanted
+                    continue
+                any_valid = True
+                if wanted and word not in vectors:
+                    vectors[word] = vec
+        except UnicodeDecodeError as exc:
+            raise EmbeddingFormatError(
+                f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+            ) from None
     if not any_valid:
         raise EmbeddingFormatError(f"{path}: no valid {expected_dim}-dimensional vectors found")
     if skipped:
         logger.warning("%s: skipped %d malformed line(s)", path, skipped)
     return EmbeddingTable(expected_dim, vectors, skipped)
+
+
+def _undecodable_line(path: Path) -> int:
+    """1-based number of the first line of ``path`` that is not UTF-8.
+
+    Text-mode reading decodes a block of lines at a time, so the line an
+    error surfaces on is not the line that holds the bad bytes.
+    """
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0  # every line decodes now: the file changed while it was read
 
 
 @dataclass(frozen=True)

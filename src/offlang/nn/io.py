@@ -56,6 +56,32 @@ def _build_layer(config: dict, dtype=np.float32):
     raise ModelFormatError(f"unknown layer type in model file: {kind!r}")
 
 
+def _parameter_count(config: dict) -> int:
+    """Number of floats the layer ``_build_layer(config)`` holds, found
+    without allocating it, so a header cannot make the loader allocate
+    more than the file could fill. A negative size counts as 0; building
+    the layer rejects it."""
+
+    def size(key):
+        return max(int(config[key]), 0)
+
+    kind = config.get("type")
+    if kind == "embedding":
+        return size("vocab_size") * size("dim")
+    if kind == "dense":
+        return (size("in_dim") + 1) * size("units")
+    if kind == "conv1d":
+        return (size("width") * size("in_dim") + 1) * size("filters")
+    if kind == "attention":  # W, b and the score vector v
+        return (size("in_dim") + 2) * size("units")
+    if kind in ("bilstm", "bigru"):  # W, U and b per gate block, for both directions
+        units, gates = size("units"), 4 if kind == "bilstm" else 3
+        return 2 * gates * units * (size("in_dim") + units + 1)
+    if kind == "parallel":
+        return sum(_parameter_count(c) for branch in config["branches"] for c in branch)
+    return 0
+
+
 def save_model(path, model: L.ModelGraph, vocabulary: dict[str, int], max_len: int):
     """Write the model; parameters are stored as little-endian float32."""
     params = model.parameters()
@@ -105,6 +131,12 @@ def load_model(path):
             )
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
+            needed = 4 * sum(_parameter_count(c) for c in header["layers"])
+            if needed > remaining - header_len:
+                raise ModelFormatError(
+                    f"{path}: truncated parameter data: the layers need {needed} bytes,"
+                    f" {remaining - header_len} follow the header"
+                )
             model = L.ModelGraph(
                 header["architecture"], [_build_layer(c) for c in header["layers"]]
             )

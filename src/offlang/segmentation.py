@@ -4,26 +4,39 @@ A candidate split is scored as the product of unigram probabilities
 (count / total). Chunks absent from the dictionary are penalised by length:
 p = 1 / (total * 10**(len-1)), so a long unknown chunk still beats spelling
 it out character by character. The best split is found by dynamic
-programming over break points.
+programming over break points, and remembered per dictionary.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources as importlib_resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 _LOG10 = math.log(10.0)
+# Splits remembered per dictionary; a tag first met once the memo is full
+# is split on every call. It bounds memory on an unbounded stream of tags,
+# while a corpus repeats a far smaller set of hashtags than this.
+MEMO_LIMIT = 65_536
 
 
 @dataclass(frozen=True)
 class SegmentationDictionary:
-    """Word frequency counts backing the unigram model."""
+    """Word frequency counts backing the unigram model.
+
+    ``counts`` is stored as a read-only copy, so the splits that
+    :func:`segment_hashtag` remembers in the dictionary (keyed by the
+    lowercased tag, at most ``MEMO_LIMIT`` of them) never go stale.
+    """
 
     counts: Mapping[str, int]
     total: int = 0
+    _memo: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         counts = dict(self.counts)
@@ -32,7 +45,7 @@ class SegmentationDictionary:
                 raise ValueError(f"dictionary words must be lowercase: {word!r}")
             if count <= 0:
                 raise ValueError(f"dictionary counts must be positive: {word!r} -> {count}")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", MappingProxyType(counts))
         object.__setattr__(self, "total", sum(counts.values()))
 
     @classmethod
@@ -63,13 +76,23 @@ def segment_hashtag(tag: str, dictionary: SegmentationDictionary | None = None) 
     """Best unigram split of a hashtag body (without the leading ``#``).
 
     The concatenation of the returned pieces always equals the lowercased
-    input. An input the model cannot beat stays one piece.
+    input. An input the model cannot beat stays one piece. Each call
+    returns a new list; the split itself is computed once per dictionary.
     """
     if not tag:
         raise ValueError("cannot segment an empty hashtag body")
     if dictionary is None:
         dictionary = default_dictionary()
     tag = tag.lower()
+    pieces = dictionary._memo.get(tag)
+    if pieces is None:
+        pieces = _best_split(tag, dictionary)
+        if len(dictionary._memo) < MEMO_LIMIT:
+            dictionary._memo[tag] = pieces
+    return list(pieces)
+
+
+def _best_split(tag: str, dictionary: SegmentationDictionary) -> tuple[str, ...]:
     n = len(tag)
     best_score = [-math.inf] * (n + 1)
     best_score[0] = 0.0
@@ -88,8 +111,7 @@ def segment_hashtag(tag: str, dictionary: SegmentationDictionary | None = None) 
         start = back[end]
         pieces.append(tag[start:end])
         end = start
-    pieces.reverse()
-    return pieces
+    return tuple(reversed(pieces))
 
 
 @lru_cache(maxsize=1)

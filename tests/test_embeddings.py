@@ -56,6 +56,85 @@ def test_load_embeddings_restricted_to_word_set(tmp_path):
     assert len(empty) == 0
 
 
+def reference_load(path, expected_dim, only=None):
+    """The loader before it learned to skip unwanted lines unparsed, except
+    that it returns the skipped lines themselves, not only their number.
+    Returns None where the loader must raise EmbeddingFormatError."""
+    vectors, skipped, any_valid = {}, [], False
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.rstrip("\r\n").split()
+            if len(parts) != expected_dim + 1:
+                skipped.append(line)
+                continue
+            word = parts[0]
+            try:
+                vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+            except ValueError:
+                skipped.append(line)
+                continue
+            any_valid = True
+            if word in vectors or (only is not None and word not in only):
+                continue
+            vectors[word] = vec
+    return (vectors, skipped) if any_valid else None
+
+
+WORDS = ["a", "b", "cc", "dé"]
+LINES = st.one_of(
+    st.sampled_from(["", " ", "\t"]),
+    st.builds(
+        lambda lead, word, values, sep: lead + sep.join([word] + values),
+        st.sampled_from(["", " ", "\t", " \t"]),
+        st.sampled_from(WORDS),
+        st.lists(st.sampled_from(["0.5", "-1e3", "2", "nan", "1_0", ".25", "x", "0.1x"]),
+                 min_size=2, max_size=4),
+        st.sampled_from([" ", "\t", "  ", " \t "]),
+    ),
+)
+
+
+@given(
+    st.lists(LINES, max_size=12),
+    st.one_of(st.none(), st.sets(st.sampled_from(WORDS + ["zz"]))),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_embeddings_matches_full_parse(tmp_path_factory, lines, only):
+    path = write_vectors(tmp_path_factory.mktemp("vec") / "v.txt", lines)
+    expected = reference_load(path, 3, only)
+    if expected is None:
+        with pytest.raises(EmbeddingFormatError):
+            load_embeddings(path, 3, only)
+        return
+    vectors, skipped = expected
+    table = load_embeddings(path, 3, only)
+    assert list(table.vectors) == list(vectors)
+    assert all(table.vectors[w].tobytes() == vectors[w].tobytes() for w in vectors)
+    if only is not None:  # malformed lines of words nobody asked for are not parsed
+        skipped = [line for line in skipped if line.split()[:1] and line.split()[0] in only]
+    assert table.skipped_lines == len(skipped)
+
+
+def test_load_embeddings_unwanted_malformed_lines_not_counted(tmp_path):
+    path = write_vectors(tmp_path / "v.txt", ["a 1.0 2.0", "b 1.0", "c x y", "c 1.0", "c 3.0 4.0"])
+    assert load_embeddings(path, 2).skipped_lines == 3
+    table = load_embeddings(path, 2, only={"c"})
+    assert set(table.vectors) == {"c"} and table.skipped_lines == 2
+    # before the first valid line every line is parsed, so the error stays exact
+    path = write_vectors(tmp_path / "w.txt", ["b 1.0", "c x y"])
+    with pytest.raises(EmbeddingFormatError, match="no valid"):
+        load_embeddings(path, 2, only={"a"})
+
+
+@pytest.mark.parametrize("bad_line", [2, 3000], ids=["first-block", "later-block"])
+def test_load_embeddings_rejects_non_utf8(tmp_path, bad_line):
+    path = tmp_path / "v.txt"
+    good = b"w 0.1 0.2\n"
+    path.write_bytes(good * (bad_line - 1) + b"\xff\xfe 1.0 2.0\n" + good)
+    with pytest.raises(EmbeddingFormatError, match=f"v.txt:{bad_line}: not UTF-8"):
+        load_embeddings(path, 2)
+
+
 def test_build_vocabulary_frequency_order():
     vocab = build_vocabulary([["a", "b", "a"]])
     assert vocab.index == {"a": 2, "b": 3}

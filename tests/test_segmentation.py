@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offlang import segmentation
 from offlang.segmentation import (
     SegmentationDictionary,
     default_dictionary,
@@ -90,3 +91,56 @@ def test_dictionary_from_file_and_merge(tmp_path):
     d = SegmentationDictionary.from_file(path)
     assert d.counts == {"alpha": 7, "beta": 3}
     assert d.total == 10
+
+
+def fresh_split(tag, counts):
+    return segment_hashtag(tag, SegmentationDictionary(counts))
+
+
+@given(st.lists(st.text(alphabet="abcdeAB", min_size=1, max_size=10), max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_memo_gives_the_fresh_split(tags):
+    counts = {"a": 50, "ab": 30, "bcd": 20, "de": 10, "abcde": 5}
+    dictionary = SegmentationDictionary(counts)
+    for tag in tags + tags:
+        assert segment_hashtag(tag, dictionary) == fresh_split(tag, counts)
+
+
+def test_memo_returns_a_new_list_each_call():
+    dictionary = SegmentationDictionary({"gun": 1000, "control": 800})
+    first = segment_hashtag("GunControl", dictionary)
+    first.append("corrupted")
+    first[0] = "x"
+    assert segment_hashtag("guncontrol", dictionary) == ["gun", "control"]
+    assert segment_hashtag("guncontrol", dictionary) is not segment_hashtag("guncontrol", dictionary)
+
+
+def test_memo_is_per_dictionary():
+    one = SegmentationDictionary({"gun": 1000, "control": 800})
+    other = SegmentationDictionary({"guncon": 1000, "trol": 800})
+    assert segment_hashtag("guncontrol", one) == ["gun", "control"]
+    assert segment_hashtag("guncontrol", other) == ["guncon", "trol"]
+    assert one._memo == {"guncontrol": ("gun", "control")}
+    assert other._memo == {"guncontrol": ("guncon", "trol")}
+    assert one == SegmentationDictionary({"gun": 1000, "control": 800})  # the memo is not compared
+
+
+def test_memo_respects_its_limit(monkeypatch):
+    monkeypatch.setattr(segmentation, "MEMO_LIMIT", 3)
+    dictionary = SegmentationDictionary({"ab": 5, "c": 2})
+    tags = ["abc", "cab", "abab", "cc", "abcab"]
+    for tag in tags:
+        assert segment_hashtag(tag, dictionary) == fresh_split(tag, {"ab": 5, "c": 2})
+    assert list(dictionary._memo) == tags[:3]
+    assert segment_hashtag("cc", dictionary) == ["c", "c"]
+
+
+def test_dictionary_counts_are_read_only():
+    source = {"gun": 1000}
+    dictionary = SegmentationDictionary(source)
+    source["gu"] = 10**9  # the dictionary holds its own copy
+    assert dict(dictionary.counts) == {"gun": 1000}
+    with pytest.raises(TypeError):
+        dictionary.counts["gun"] = 1
+    with pytest.raises(TypeError):
+        del dictionary.counts["gun"]

@@ -6,6 +6,7 @@ import pytest
 
 from offlang.models import build_blstm_attention, build_blstm_bgru, build_cnn
 from offlang.nn import ModelFormatError, load_model, predict_proba, save_model
+from offlang.nn.io import _parameter_count
 
 
 def small_models(tiny_matrix):
@@ -64,6 +65,13 @@ def test_truncated_file_rejected(tmp_path, tiny_matrix):
         load_model(path)
 
 
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["cnn", "blstm_att", "blstm_bgru"])
+def test_parameter_count_of_each_layer_config(tiny_matrix, index):
+    model = small_models(tiny_matrix)[index]
+    for layer in model.layers:
+        assert _parameter_count(layer.config()) == sum(p.value.size for p in layer.parameters())
+
+
 def _container(header: bytes, declared_len: int | None = None) -> bytes:
     length = len(header) if declared_len is None else declared_len
     return b"OFNN" + struct.pack("<I", 1) + struct.pack("<Q", length) + header
@@ -104,4 +112,22 @@ def test_header_length_beyond_file_rejected(tmp_path):
     path = tmp_path / "m.bin"
     path.write_bytes(_container(b"{}", declared_len=2**62))
     with pytest.raises(ModelFormatError, match="exceeds"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "index, layer_type, key",
+    [(0, "embedding", "vocab_size"), (1, "bilstm", "units"), (2, "bigru", "units")],
+    ids=["embedding-vocab", "bilstm-units", "bigru-units"],
+)
+def test_huge_layer_size_rejected_before_allocation(tmp_path, tiny_matrix, index, layer_type, key):
+    path = tmp_path / "m.bin"
+    save_model(path, small_models(tiny_matrix)[index], {"w": 2}, max_len=12)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + length])
+    layer = next(c for c in header["layers"] if c["type"] == layer_type)
+    layer[key] = 10**12  # 10^12 x 16 floats of embedding alone would be 64 TB
+    path.write_bytes(_container(json.dumps(header).encode()) + blob[16 + length :])
+    with pytest.raises(ModelFormatError, match="the layers need"):
         load_model(path)
