@@ -87,18 +87,26 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _open_unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1)")
+    return value
+
+
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The option table: the top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="offlang", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    def add(name, help):
+    def add(name, help, preprocessing=True):
         p = subparsers[name] = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key=value config file; flags win")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--norm-table", help="normalization table file (variant<TAB>canonical)")
-        p.add_argument("--seg-dict", help="segmentation dictionary file (word<TAB>count)")
+        if preprocessing:
+            p.add_argument("--norm-table",
+                           help="normalization table file (variant<TAB>canonical)")
+            p.add_argument("--seg-dict", help="segmentation dictionary file (word<TAB>count)")
         return p
 
     p = add("preprocess", "write id<TAB>normalized-tokens for a dataset")
@@ -115,11 +123,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--split-seed", type=int, default=42,
                    help="seed for the train/validation split; keep it fixed across "
                         "ensemble members so their vocabularies match (default 42)")
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--max-epochs", type=int, default=50)
     p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--validation-fraction", type=float, default=0.1)
+    p.add_argument("--validation-fraction", type=_open_unit_interval, default=0.1)
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--embedding-dim", type=int, default=200)
     p.add_argument("--max-len", type=int, default=200)
@@ -131,20 +140,21 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--threshold", type=_unit_interval, default=0.5)
     p.add_argument("--unlabeled", action="store_true", help="input has no label columns")
 
-    p = add("evaluate", "score a predictions file against gold labels")
+    p = add("evaluate", "score a predictions file against gold labels", preprocessing=False)
     p.add_argument("predictions", help="predictions TSV")
     p.add_argument("gold", help="gold dataset TSV")
     p.add_argument("--task", choices=("A", "B"), default="A")
     p.add_argument("--out", help="also write the report as JSON here")
 
-    p = add("taskb", "rule-engine targeted/untargeted predictions")
+    p = add("taskb", "rule-engine targeted/untargeted predictions", preprocessing=False)
     p.add_argument("--data", help="input dataset TSV")
     p.add_argument("--lexicon", help="lexicon file (hashtags keep '#')")
     p.add_argument("--annotations", help="pre-annotated file; default is the builtin annotator")
     p.add_argument("--out", help="output TSV: id<TAB>label<TAB>rule")
     p.add_argument("--unlabeled", action="store_true", help="input has no label columns")
 
-    p = add("build-lexicon", "compile top-k hashtags/tokens from training data")
+    p = add("build-lexicon", "compile top-k hashtags/tokens from training data",
+            preprocessing=False)
     p.add_argument("--data", help="labelled training TSV")
     p.add_argument("--out", help="lexicon output file")
     p.add_argument("--stoplist", help="stopword file; defaults to the shipped English list")

@@ -10,9 +10,11 @@ Conventions:
     do not depend on the amount of padding;
   * `forward(..., train=True)` caches activations for one `backward` call;
     inference-mode forwards cache nothing and are pure;
-  * the last bit of the attention softmax denominator depends on the padded
-    width (numpy sums a row pairwise), so `predict_proba` cuts each batch
-    only to widths that keep that sum, and every probability, unchanged.
+  * sums over time add one step after another, so the zeros of padding come
+    last and change no bit, and a one-unit `Dense` sums each row on its own:
+    a row's inference output depends neither on its padded width nor on the
+    other rows of its batch (of at least 8 rows, below which BLAS takes
+    other kernels; see `predict_proba`).
 """
 from __future__ import annotations
 
@@ -204,7 +206,12 @@ class Dense(Layer):
     def forward(self, x, lengths, train=False, rng=None):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input features, got {x.shape[-1]}")
-        z = x @ self.weights.value + self.bias.value
+        if self.units == 1:
+            # a matrix-vector product sums a row in groups that depend on the
+            # other rows of the batch; an elementwise row sum does not
+            z = (x * self.weights.value[:, 0]).sum(axis=-1, keepdims=True) + self.bias.value
+        else:
+            z = x @ self.weights.value + self.bias.value
         if self.activation == "relu":
             y = np.maximum(z, 0)
         elif self.activation == "sigmoid":
@@ -394,7 +401,9 @@ class AdditiveAttention(Layer):
         scores = np.where(valid, scores, -np.inf)
         scores = scores - scores.max(axis=1, keepdims=True)
         weights = np.exp(scores)
-        weights = weights / weights.sum(axis=1, keepdims=True)
+        # a running sum adds the padding's zero weights last, exactly; numpy's
+        # pairwise row sum would regroup the valid terms with the padded width
+        weights = weights / np.cumsum(weights, axis=1)[:, -1:]
         context = (weights[:, :, None] * x).sum(axis=1)
         if train:
             self._cache = (x, u, weights)

@@ -79,79 +79,55 @@ class EarlyStopper:
         return self.waited >= self.patience
 
 
-def _first_leaf(steps: int) -> int:
-    """Widest multiple of 8 inside the first leaf of numpy's pairwise sum."""
-    leaf = steps
-    while leaf > 128:
-        leaf = leaf // 2 - (leaf // 2) % 8
-    return leaf - leaf % 8
-
-
-def _inference_rows(batch_size: int, steps: int, width: int) -> int:
-    """Rows per forward call for a batch ``width`` columns wide.
-
-    A batch that needs the full padded width runs in blocks of a multiple
-    of 16 rows covering at most the cells of a full batch at the first-leaf
-    width (48 rows of 200 against 128 of 96), so the largest inference
-    arrays, and peak memory, hardly depend on how long the longest tweets
-    are. Rows are independent in every layer, but BLAS handles a matrix in
-    groups of rows and the rows left over at its end take another code
-    path: the final layer's matrix-vector product changes the last bit of
-    a row that moves out of its group of 4. Blocks that start on a
-    multiple of 16 keep every row in the same group as in the whole batch,
-    so the probabilities stay those of the whole batch.
-    """
-    budget = batch_size * _first_leaf(steps)
-    if width * batch_size <= budget:
-        return batch_size
-    return max(16, budget // width // 16 * 16)
+# Inference runs 128-row batches, each in blocks of at most 128 x 96 cells
+# (61 rows at the full 200 columns), so the largest inference arrays, and
+# peak memory, hardly depend on how long the longest tweets are.
+INFERENCE_BATCH = 128
+INFERENCE_CELLS = 128 * 96
+# BLAS multiplies a matrix of only a few rows with other kernels, which sum
+# in another order (OpenBLAS on AVX-512 does so below 6 rows for cnn's hidden
+# Dense layer at paper size), so no block is smaller.
+MIN_BLOCK_ROWS = 8
 
 
 def _inference_width(model: ModelGraph, steps: int, longest: int) -> int:
-    """How many of ``steps`` padded columns a batch needs for the same bytes.
+    """How many of ``steps`` padded columns a batch with rows up to ``longest`` needs.
 
-    Every inference layer ignores padding exactly except the attention
-    softmax denominator, a float32 row sum that numpy adds pairwise: the
-    first leaf of up to 128 elements goes into 8 interleaved partial sums,
-    a length that is not a multiple of 8 leaves a tail that is added one by
-    one, and longer rows are split at half their length rounded down to a
-    multiple of 8 (96 of 200). So a width that is a multiple of 8 inside
-    that first leaf sees the same partial sums as the full width, whose
-    other leaves add zeros; any other width can change the last bit.
-
-    The width also covers the widest convolution window, which the
+    Every inference layer ignores padding exactly, so the longest row would
+    do, but the width also covers the widest convolution window, which the
     fallback for rows shorter than it reads, and is at least 16: a
     convolution's GEMM over only a few output rows can take a BLAS
     small-matrix kernel that sums its 600- or 800-long inner dimension in
     another order (OpenBLAS on AVX-512 does so for width 8 at paper size).
     """
-    leaf = _first_leaf(steps)
     layers = list(model.layers)
     for layer in layers:  # appending while iterating also walks nested branches
         layers.extend(l for branch in getattr(layer, "branches", ()) for l in branch)
     widest = max((l.width for l in layers if isinstance(l, Conv1D)), default=1)
-    width = -(-max(longest, widest, 16) // 8) * 8
-    return width if width <= leaf else steps
+    return min(steps, max(longest, widest, 16))
 
 
-def predict_proba(model: ModelGraph, X, lengths, batch_size: int = 128) -> np.ndarray:
+def predict_proba(model: ModelGraph, X, lengths) -> np.ndarray:
     """Deterministic inference probabilities, computed in batches.
 
     Each batch is cut to the columns its longest row needs (see
-    ``_inference_width``) and a batch that needs every column runs in
-    smaller row blocks (see ``_inference_rows``); the probabilities equal
-    those of the full padded batch bit for bit.
+    ``_inference_width``) and runs in blocks of at most ``INFERENCE_CELLS``
+    cells; a block of fewer than ``MIN_BLOCK_ROWS`` rows is filled up with
+    copies of its own rows, whose outputs are dropped. A row's probability
+    is the same bit for bit whatever the padding and whichever rows share
+    its batch.
     """
     X = np.asarray(X)
     lengths = np.asarray(lengths)
     pieces = []
-    for start in range(0, X.shape[0], batch_size):
-        stop = min(start + batch_size, X.shape[0])
+    for start in range(0, X.shape[0], INFERENCE_BATCH):
+        stop = min(start + INFERENCE_BATCH, X.shape[0])
         width = _inference_width(model, X.shape[1], int(lengths[start:stop].max()))
-        rows = _inference_rows(batch_size, X.shape[1], width)
+        rows = max(MIN_BLOCK_ROWS, min(INFERENCE_BATCH, INFERENCE_CELLS // max(width, 1)))
         for block in range(start, stop, rows):
-            end = min(block + rows, stop)
-            pieces.append(model.forward(X[block:end, :width], lengths[block:end], train=False))
+            n = min(rows, stop - block)
+            idx = block + np.arange(max(n, MIN_BLOCK_ROWS)) % n
+            pieces.append(model.forward(X[idx, :width], lengths[idx], train=False)[:n])
     return np.concatenate(pieces) if pieces else np.zeros(0)
 
 

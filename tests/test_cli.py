@@ -468,11 +468,11 @@ def untrained_model(tmp_path):
     # a config value outside the option's choices is a usage error, as a flag is
     ("train", [], "arch=lstm", EXIT_USAGE),
     # a malformed config value fails like a malformed flag value after parsing,
-    # also where a flag overrides it or the subcommand does not read it
+    # also where a flag overrides it
     ("train", ["--arch", "cnn", "--batch-size", "4"], "batch_size=x", EXIT_RUNTIME),
-    ("predict", [], "seed=abc", EXIT_RUNTIME),
+    ("predict", [], "threshold=abc", EXIT_RUNTIME),
+    # a key naming no option of the subcommand is ignored: only train has --seed
     ("predict", [], "seed=3", EXIT_OK),
-    # a key naming no option is ignored
     ("build-lexicon", [], "learnign_rate=5", EXIT_OK),
     # so is a flag that takes no value: this input stays read as labelled
     ("preprocess", [], "unlabeled=true", EXIT_RUNTIME),
@@ -480,14 +480,18 @@ def untrained_model(tmp_path):
     ("predict", [], "threshold=1.5", EXIT_USAGE),
     ("predict", ["--threshold", "-0.1"], "threshold=0.5", EXIT_USAGE),
     ("predict", [], "threshold=1", EXIT_OK),
+    # so is a validation fraction outside (0, 1), before any data is read
+    ("train", ["--arch", "cnn", "--validation-fraction", "1"], "validation_fraction=0.34",
+     EXIT_USAGE),
+    ("train", ["--arch", "cnn"], "validation_fraction=0", EXIT_USAGE),
+    ("train", ["--arch", "cnn"], "validation_fraction=0.34", EXIT_OK),
 ])
 def test_config_file_values(command, flags, config, code, train_tsv, embeddings_file,
                             untrained_model, tmp_path):
     unlabeled = write_olid(tmp_path / "u.tsv", [("x1", "nice day")], has_labels=False)
     argv = {
         "train": ["--data", str(train_tsv), "--embeddings", str(embeddings_file),
-                  "--embedding-dim", "8", "--max-len", "16", "--max-epochs", "1",
-                  "--validation-fraction", "0.34"],
+                  "--embedding-dim", "8", "--max-len", "16", "--max-epochs", "1"],
         "predict": [str(untrained_model), "--data", str(train_tsv)],
         "build-lexicon": ["--data", str(train_tsv)],
         "preprocess": ["--data", str(unlabeled)],
@@ -499,17 +503,14 @@ def test_config_file_values(command, flags, config, code, train_tsv, embeddings_
 
 
 HELP_FLAGS = {
-    "preprocess": "--config --data --help --norm-table --out --seed --seg-dict --unlabeled",
+    "preprocess": "--config --data --help --norm-table --out --seg-dict --unlabeled",
     "train": "--arch --batch-size --config --data --embedding-dim --embeddings --exclude --help "
              "--learning-rate --max-epochs --max-len --min-count --norm-table --out --patience "
              "--seed --seg-dict --split-seed --validation-fraction",
-    "predict": "--config --data --help --norm-table --out --seed --seg-dict --threshold "
-               "--unlabeled",
-    "evaluate": "--config --help --norm-table --out --seed --seg-dict --task",
-    "taskb": "--annotations --config --data --help --lexicon --norm-table --out --seed "
-             "--seg-dict --unlabeled",
-    "build-lexicon": "--config --data --help --k --norm-table --out --overrides --seed "
-                     "--seg-dict --stoplist",
+    "predict": "--config --data --help --norm-table --out --seg-dict --threshold --unlabeled",
+    "evaluate": "--config --help --out --task",
+    "taskb": "--annotations --config --data --help --lexicon --out --unlabeled",
+    "build-lexicon": "--config --data --help --k --out --overrides --stoplist",
 }
 
 

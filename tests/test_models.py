@@ -16,8 +16,7 @@ from offlang.models import (
     ensemble_proba,
     label_for,
 )
-from offlang.nn import AdditiveAttention, Dense, ModelGraph, ParallelConcat, predict_proba
-from offlang.nn.training import _inference_rows, _inference_width
+from offlang.nn import AdditiveAttention, Dense, ParallelConcat, predict_proba
 from offlang.preprocess import preprocess_pipeline
 
 
@@ -75,59 +74,97 @@ def test_extra_padding_never_changes_inference(tiny_matrix, builder):
             assert np.array_equal(predict_proba(model, padded, lengths), reference)
 
 
-# longest row of a batch: <= 8, 9-16, 41-48, 89-96, and > 96 (full-width fallback)
-WIDTH_CLASSES = [(4, 8), (9, 16), (41, 48), (89, 96), (97, 200)]
+# longest row of a batch: ranges, and single values that are not multiples of 8
+WIDTH_CLASSES = [(4, 8), (9, 16), (41, 48), (89, 96), (97, 200),
+                 (5, 5), (13, 13), (45, 45), (97, 97), (131, 131), (199, 199)]
+
+
+def paper_model(builder, rng, seed):
+    matrix = rng.uniform(-0.5, 0.5, size=(40, 200)).astype(np.float32)
+    return builder(matrix, seed=seed)
+
+
+def padded_rows(rng, lengths):
+    X = rng.integers(2, 40, size=(len(lengths), 200)).astype(np.int32)
+    X[np.arange(200) >= np.asarray(lengths)[:, None]] = 0
+    return X
 
 
 @pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
 def test_predict_proba_equals_full_width_forward(builder):
     # paper dimensions: the trim must not move a bit, not even in the attention sum
     rng = np.random.default_rng(21)
-    matrix = rng.uniform(-0.5, 0.5, size=(40, 200)).astype(np.float32)
-    model = builder(matrix, seed=6)
+    model = paper_model(builder, rng, 6)
     for low, high in WIDTH_CLASSES:
         longest = int(rng.integers(low, high + 1))
         lengths = np.array([0, 1, 2, 3, longest, *rng.integers(0, longest + 1, size=3)])
-        X = rng.integers(2, 40, size=(8, 200)).astype(np.int32)
-        X[np.arange(200) >= lengths[:, None]] = 0
+        X = padded_rows(rng, lengths)
         full = model.forward(X, lengths, train=False)
         assert np.array_equal(predict_proba(model, X, lengths), full), (low, high)
 
 
 @pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
 def test_full_width_batches_in_row_blocks_equal_whole_batch_forward(builder):
-    # a long tweet sends its 128-row batch through in 48-row blocks
+    # a long tweet sends its 128-row batch through in 61-row blocks
     rng = np.random.default_rng(22)
-    matrix = rng.uniform(-0.5, 0.5, size=(40, 200)).astype(np.float32)
-    model = builder(matrix, seed=7)
+    model = paper_model(builder, rng, 7)
     lengths = rng.integers(0, 97, size=222)
     lengths[[5, 130]] = [150, 200]
-    X = rng.integers(2, 40, size=(222, 200)).astype(np.int32)
-    X[np.arange(200) >= lengths[:, None]] = 0
+    X = padded_rows(rng, lengths)
     whole = [model.forward(X[s : s + 128], lengths[s : s + 128], train=False) for s in (0, 128)]
     assert np.array_equal(predict_proba(model, X, lengths), np.concatenate(whole))
 
 
-def test_inference_rows_bound_the_cells_of_a_forward():
-    assert _inference_rows(128, 200, 96) == 128
-    assert _inference_rows(128, 200, 200) == 48  # 9,600 cells against 128 x 96
-    assert _inference_rows(128, 40, 40) == 128  # the whole width is the first leaf
-    assert _inference_rows(8, 200, 200) == 16  # more than the batch: one block
-    assert all(_inference_rows(128, steps, steps) % 16 == 0 for steps in range(8, 400))
+@pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
+def test_probabilities_do_not_depend_on_the_rest_of_the_batch(builder):
+    rng = np.random.default_rng(23)
+    model = paper_model(builder, rng, 8)
+    lengths = rng.integers(0, 200, size=200)
+    X = padded_rows(rng, lengths)
+    reference = predict_proba(model, X, lengths)
+    order = rng.permutation(200)
+    assert np.array_equal(predict_proba(model, X[order], lengths[order]), reference[order])
+    for size in (1, 2, 5, 7, 61):
+        rows = rng.choice(200, size=size, replace=False)
+        assert np.array_equal(predict_proba(model, X[rows], lengths[rows]), reference[rows]), size
+
+
+def test_inference_rows_bound_the_cells_of_a_forward(tiny_matrix, monkeypatch):
+    model = build_cnn(tiny_matrix, filters=4, hidden=4, expected_dim=16, seed=0)
+    embedding = model.layers[0]
+    shapes = []
+    forward = embedding.forward
+
+    def spy(indices, lengths, train=False, rng=None):
+        shapes.append(indices.shape)
+        return forward(indices, lengths, train, rng)
+
+    monkeypatch.setattr(embedding, "forward", spy)
+    rng = np.random.default_rng(24)
+    for n in (1, 7, 8, 130, 300):
+        for longest in (3, 50, 97, 200):
+            lengths = rng.integers(0, longest + 1, size=n)
+            lengths[n // 2] = longest
+            X = np.where(np.arange(200) < lengths[:, None], 2, 0).astype(np.int32)
+            assert predict_proba(model, X, lengths).shape == (n,)
+    assert (61, 200) in shapes  # 12,200 cells against 128 x 96
+    for rows, width in shapes:
+        assert rows >= 8
+        assert rows == 8 or rows * width <= 128 * 96, (rows, width)
 
 
 def test_attention_unchanged_at_inference_width():
     attention = AdditiveAttention(128, 128, rng=np.random.default_rng(2))
-    graph = ModelGraph("attention", [attention])
     rng = np.random.default_rng(3)
     for _ in range(30):
-        longest = int(rng.integers(9, 97))
-        lengths = np.append(rng.integers(9, longest + 1, size=31), longest)
-        x = rng.normal(size=(32, 200, 128)).astype(np.float32)
-        width = _inference_width(graph, 200, longest)
+        longest = int(rng.integers(1, 200))
+        width = int(rng.integers(longest, 201))
+        batch = int(rng.choice([1, 3, 32]))
+        lengths = np.append(rng.integers(0, longest + 1, size=batch - 1), longest)
+        x = rng.normal(size=(batch, 200, 128)).astype(np.float32)
         full, _ = attention.forward(x, lengths)
         trimmed, _ = attention.forward(x[:, :width], lengths)
-        assert np.array_equal(trimmed, full), longest
+        assert np.array_equal(trimmed, full), (longest, width, batch)
 
 
 def test_predict_proba_trims_batches_to_their_longest_row(tiny_matrix, monkeypatch):
@@ -144,7 +181,7 @@ def test_predict_proba_trims_batches_to_their_longest_row(tiny_matrix, monkeypat
     X = np.ones((10, 200), dtype=np.int32)
     predict_proba(model, X, np.full(10, 90))
     predict_proba(model, X, np.array([150] + [20] * 9))
-    assert seen[0] <= 96 and seen[1] == 200
+    assert seen == [90, 150]
 
 
 def test_attention_model_handles_fully_padded_input(tiny_matrix):

@@ -98,6 +98,15 @@ def test_dense_sigmoid_strictly_inside_unit_interval():
     assert np.all(y > 0.0) and np.all(y < 1.0)
 
 
+def test_one_unit_dense_row_does_not_depend_on_the_other_rows():
+    layer = Dense(256, 1, "sigmoid", rng=rng(0), dtype=np.float32)
+    x = rng(1).normal(size=(130, 256)).astype(np.float32)
+    whole, _ = layer.forward(x, None)
+    for start, stop in ((0, 1), (3, 5), (7, 10), (64, 130)):
+        part, _ = layer.forward(x[start:stop], None)
+        assert np.array_equal(part, whole[start:stop]), (start, stop)
+
+
 def test_word_dropout_identity_cases():
     matrix = rng(1).normal(size=(4, 3))
     idx = rng(2).integers(0, 4, size=(2, 5))
