@@ -94,6 +94,16 @@ def _open_unit_interval(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is not at least {low}")
+        return value
+    convert.__name__ = "int"  # argparse names the type when int() itself fails
+    return convert
+
+
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The option table: the top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="offlang", description=__doc__.splitlines()[0])
@@ -125,13 +135,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                         "ensemble members so their vocabularies match (default 42)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=32)
+    p.add_argument("--max-epochs", type=_int_at_least(1), default=50)
+    p.add_argument("--patience", type=_int_at_least(1), default=3)
     p.add_argument("--validation-fraction", type=_open_unit_interval, default=0.1)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--embedding-dim", type=int, default=200)
-    p.add_argument("--max-len", type=int, default=200)
+    p.add_argument("--min-count", type=_int_at_least(1), default=1)
+    p.add_argument("--embedding-dim", type=_int_at_least(1), default=200)
+    p.add_argument("--max-len", type=_int_at_least(1), default=200)
 
     p = add("predict", "single-model or ensemble predictions")
     p.add_argument("models", nargs="+", help="model file(s); more than one averages")
@@ -159,7 +169,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", help="lexicon output file")
     p.add_argument("--stoplist", help="stopword file; defaults to the shipped English list")
     p.add_argument("--overrides", help="file of items to remove (manual elimination)")
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--k", type=_int_at_least(0), default=100)
 
     return parser, subparsers
 

@@ -59,10 +59,7 @@ def build_cnn(
     matrix,
     *,
     filters: int = 256,
-    widths: Sequence[int] = (2, 3, 4),
     hidden: int = 256,
-    dropout: float = 0.3,
-    word_dropout: float = WORD_DROPOUT,
     expected_dim: int = EMBEDDING_DIM,
     seed: int = 0,
     dtype=np.float32,
@@ -71,13 +68,13 @@ def build_cnn(
     rng = np.random.default_rng(seed)
     dim = matrix.shape[1]
     branches = [
-        [Conv1D(dim, filters, width, rng=rng, dtype=dtype), MaxOverTime()] for width in widths
+        [Conv1D(dim, filters, width, rng=rng, dtype=dtype), MaxOverTime()] for width in (2, 3, 4)
     ]
     layers = [
-        Embedding(matrix.astype(dtype), word_dropout),
+        Embedding(matrix.astype(dtype), WORD_DROPOUT),
         ParallelConcat(branches),
-        Dropout(dropout),
-        Dense(filters * len(widths), hidden, "relu", rng=rng, dtype=dtype),
+        Dropout(0.3),
+        Dense(3 * filters, hidden, "relu", rng=rng, dtype=dtype),
         Dense(hidden, 1, "sigmoid", rng=rng, dtype=dtype),
     ]
     return ModelGraph(ARCH_CNN, layers)
@@ -88,9 +85,6 @@ def build_blstm_attention(
     *,
     units: int = 64,
     hidden: int = 128,
-    recurrent_dropout: float = 0.2,
-    word_dropout: float = WORD_DROPOUT,
-    attention_units: int | None = None,
     expected_dim: int = EMBEDDING_DIM,
     seed: int = 0,
     dtype=np.float32,
@@ -99,12 +93,10 @@ def build_blstm_attention(
     rng = np.random.default_rng(seed)
     dim = matrix.shape[1]
     state_dim = 2 * units
-    if attention_units is None:
-        attention_units = state_dim
     layers = [
-        Embedding(matrix.astype(dtype), word_dropout),
-        BiLSTM(dim, units, recurrent_dropout, return_sequences=True, rng=rng, dtype=dtype),
-        AdditiveAttention(state_dim, attention_units, rng=rng, dtype=dtype),
+        Embedding(matrix.astype(dtype), WORD_DROPOUT),
+        BiLSTM(dim, units, 0.2, return_sequences=True, rng=rng, dtype=dtype),
+        AdditiveAttention(state_dim, state_dim, rng=rng, dtype=dtype),
         Dense(state_dim, hidden, "relu", rng=rng, dtype=dtype),
         Dense(hidden, 1, "sigmoid", rng=rng, dtype=dtype),
     ]
@@ -116,8 +108,6 @@ def build_blstm_bgru(
     *,
     units: int = 64,
     hidden: int = 128,
-    recurrent_dropout: float = 0.3,
-    word_dropout: float = WORD_DROPOUT,
     expected_dim: int = EMBEDDING_DIM,
     seed: int = 0,
     dtype=np.float32,
@@ -127,9 +117,9 @@ def build_blstm_bgru(
     dim = matrix.shape[1]
     state_dim = 2 * units
     layers = [
-        Embedding(matrix.astype(dtype), word_dropout),
-        BiLSTM(dim, units, recurrent_dropout, return_sequences=True, rng=rng, dtype=dtype),
-        BiGRU(state_dim, units, recurrent_dropout, rng=rng, dtype=dtype),
+        Embedding(matrix.astype(dtype), WORD_DROPOUT),
+        BiLSTM(dim, units, 0.3, return_sequences=True, rng=rng, dtype=dtype),
+        BiGRU(state_dim, units, 0.3, rng=rng, dtype=dtype),
         ParallelConcat([[MaxOverTime()], [AvgOverTime()]]),
         Dense(2 * state_dim, hidden, "relu", rng=rng, dtype=dtype),
         Dense(hidden, 1, "sigmoid", rng=rng, dtype=dtype),

@@ -75,7 +75,7 @@ def _parameter_count(config: dict) -> int:
     if kind == "attention":  # W, b and the score vector v
         return (size("in_dim") + 2) * size("units")
     if kind in ("bilstm", "bigru"):  # W, U and b per gate block, for both directions
-        units, gates = size("units"), 4 if kind == "bilstm" else 3
+        units, gates = size("units"), (L.BiLSTM if kind == "bilstm" else L.BiGRU).gates
         return 2 * gates * units * (size("in_dim") + units + 1)
     if kind == "parallel":
         return sum(_parameter_count(c) for branch in config["branches"] for c in branch)

@@ -7,7 +7,8 @@ Conventions:
   * a fully padded row falls back to position 0 so reductions never see an
     empty window;
   * recurrent layers carry state through padded steps unchanged, so outputs
-    do not depend on the amount of padding;
+    do not depend on the amount of padding; the one masked time loop of
+    `Bidirectional` does this for both the LSTM and the GRU cell;
   * `forward(..., train=True)` caches activations for one `backward` call;
     inference-mode forwards cache nothing and are pure;
   * sums over time add one step after another, so the zeros of padding come
@@ -426,153 +427,67 @@ class AdditiveAttention(Layer):
         return {"type": "attention", "in_dim": self.in_dim, "units": self.units}
 
 
-def _lstm_direction_forward(x, lengths, W, U, b, reverse, train):
-    """One LSTM direction. Gate order: input, forget, cell candidate, output.
-
-    Only a train-mode call fills the per-step arrays ``backward`` reads;
-    otherwise the cache is None.
-    """
-    batch, steps, _ = x.shape
+def _lstm_step(xp_t, state, U):
+    """One LSTM step. Gate order: input, forget, cell candidate, output."""
+    h, c = state
     units = U.shape[0]
-    xp = x @ W  # (B, L, 4u)
-    xp += b
-    mask = length_mask(lengths, batch, steps).astype(x.dtype)
-    h = np.zeros((batch, units), dtype=x.dtype)
-    c = np.zeros((batch, units), dtype=x.dtype)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    outputs = np.zeros((batch, steps, units), dtype=x.dtype)
-    if train:
-        gates = np.zeros((steps, batch, 4 * units), dtype=x.dtype)
-        tanh_c = np.zeros((steps, batch, units), dtype=x.dtype)
-        h_prev = np.zeros((steps, batch, units), dtype=x.dtype)
-        c_prev = np.zeros((steps, batch, units), dtype=x.dtype)
-    for t in order:
-        m = mask[:, t : t + 1]
-        a = xp[:, t] + h @ U
-        i = sigmoid(a[:, :units])
-        f = sigmoid(a[:, units : 2 * units])
-        g = np.tanh(a[:, 2 * units : 3 * units])
-        o = sigmoid(a[:, 3 * units :])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        if train:
-            gates[t] = np.concatenate([i, f, g, o], axis=1)
-            tanh_c[t] = tc
-            h_prev[t] = h
-            c_prev[t] = c
-        c = m * c_new + (1.0 - m) * c
-        h = m * h_new + (1.0 - m) * h
-        outputs[:, t] = m * h_new
-    cache = (gates, tanh_c, h_prev, c_prev, mask, order) if train else None
-    return outputs, h, cache
+    a = xp_t + h @ U
+    i = sigmoid(a[:, :units])
+    f = sigmoid(a[:, units : 2 * units])
+    g = np.tanh(a[:, 2 * units : 3 * units])
+    o = sigmoid(a[:, 3 * units :])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return (o * tc, c_new), (i, f, g, o, tc, h, c)
 
 
-def _lstm_direction_backward(douts, dh_final, cache, x, W, U):
-    gates, tanh_c, h_prev, c_prev, mask, order = cache
-    batch, steps, _ = x.shape
-    units = U.shape[0]
-    dxp = np.zeros((batch, steps, 4 * units), dtype=x.dtype)
-    dU = np.zeros_like(U)
-    dh = dh_final if dh_final is not None else np.zeros((batch, units), dtype=x.dtype)
-    dc = np.zeros((batch, units), dtype=x.dtype)
-    for t in reversed(list(order)):
-        m = mask[:, t : t + 1]
-        i = gates[t][:, :units]
-        f = gates[t][:, units : 2 * units]
-        g = gates[t][:, 2 * units : 3 * units]
-        o = gates[t][:, 3 * units :]
-        tc = tanh_c[t]
-        dh_new = m * (douts[:, t] + dh)
-        dh_carry = (1.0 - m) * dh
-        dc_new = m * dc
-        dc_carry = (1.0 - m) * dc
-        do = dh_new * tc
-        dc_total = dc_new + dh_new * o * (1.0 - tc * tc)
-        di = dc_total * g
-        dg = dc_total * i
-        df = dc_total * c_prev[t]
-        da = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
-            axis=1,
-        )
-        dxp[:, t] = da
-        dU += h_prev[t].T @ da
-        dh = da @ U.T + dh_carry
-        dc = dc_total * f + dc_carry
-    dW = x.reshape(-1, x.shape[2]).T @ dxp.reshape(-1, 4 * units)
-    db = dxp.sum(axis=(0, 1))
-    dx = dxp @ W.T
-    return dx, dW, dU, db
+def _lstm_step_backward(d_new, saved, U, dU):
+    dh_new, dc_new = d_new
+    i, f, g, o, tc, h_prev, c_prev = saved
+    do = dh_new * tc
+    dc_total = dc_new + dh_new * o * (1.0 - tc * tc)
+    di = dc_total * g
+    dg = dc_total * i
+    df = dc_total * c_prev
+    da = np.concatenate(
+        [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+        axis=1,
+    )
+    dU += h_prev.T @ da
+    return da, (da @ U.T, dc_total * f)
 
 
-def _gru_direction_forward(x, lengths, W, U, b, reverse, train):
-    """One GRU direction. Gate order: update, reset, candidate.
+def _gru_step(xp_t, state, U):
+    """One GRU step. Gate order: update, reset, candidate.
 
     h_t = z * h_{t-1} + (1 - z) * tanh(x W_n + (r * h_{t-1}) U_n + b_n)
-
-    Only a train-mode call fills the per-step arrays ``backward`` reads.
     """
-    batch, steps, _ = x.shape
+    (h,) = state
     units = U.shape[0]
-    xp = x @ W  # (B, L, 3u)
-    xp += b
-    mask = length_mask(lengths, batch, steps).astype(x.dtype)
-    h = np.zeros((batch, units), dtype=x.dtype)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    outputs = np.zeros((batch, steps, units), dtype=x.dtype)
-    if train:
-        zs = np.zeros((steps, batch, units), dtype=x.dtype)
-        rs = np.zeros((steps, batch, units), dtype=x.dtype)
-        ns = np.zeros((steps, batch, units), dtype=x.dtype)
-        h_prev = np.zeros((steps, batch, units), dtype=x.dtype)
-    for t in order:
-        m = mask[:, t : t + 1]
-        z = sigmoid(xp[:, t, :units] + h @ U[:, :units])
-        r = sigmoid(xp[:, t, units : 2 * units] + h @ U[:, units : 2 * units])
-        n = np.tanh(xp[:, t, 2 * units :] + (r * h) @ U[:, 2 * units :])
-        h_new = z * h + (1.0 - z) * n
-        if train:
-            zs[t], rs[t], ns[t], h_prev[t] = z, r, n, h
-        h = m * h_new + (1.0 - m) * h
-        outputs[:, t] = m * h_new
-    cache = (zs, rs, ns, h_prev, mask, order) if train else None
-    return outputs, h, cache
+    z = sigmoid(xp_t[:, :units] + h @ U[:, :units])
+    r = sigmoid(xp_t[:, units : 2 * units] + h @ U[:, units : 2 * units])
+    n = np.tanh(xp_t[:, 2 * units :] + (r * h) @ U[:, 2 * units :])
+    return (z * h + (1.0 - z) * n,), (z, r, n, h)
 
 
-def _gru_direction_backward(douts, dh_final, cache, x, W, U):
-    zs, rs, ns, h_prev, mask, order = cache
-    batch, steps, _ = x.shape
+def _gru_step_backward(d_new, saved, U, dU):
+    (dh_new,) = d_new
+    z, r, n, h_prev = saved
     units = U.shape[0]
-    dxp = np.zeros((batch, steps, 3 * units), dtype=x.dtype)
-    dU = np.zeros_like(U)
-    dh = dh_final if dh_final is not None else np.zeros((batch, units), dtype=x.dtype)
-    for t in reversed(list(order)):
-        m = mask[:, t : t + 1]
-        z, r, n, hp = zs[t], rs[t], ns[t], h_prev[t]
-        dh_new = m * (douts[:, t] + dh)
-        dh_carry = (1.0 - m) * dh
-        dz = dh_new * (hp - n)
-        dn = dh_new * (1.0 - z)
-        dhp = dh_new * z
-        dan = dn * (1.0 - n * n)
-        drh = dan @ U[:, 2 * units :].T
-        dU[:, 2 * units :] += (r * hp).T @ dan
-        dr = drh * hp
-        dhp = dhp + drh * r
-        daz = dz * z * (1.0 - z)
-        dar = dr * r * (1.0 - r)
-        dU[:, :units] += hp.T @ daz
-        dU[:, units : 2 * units] += hp.T @ dar
-        dhp = dhp + daz @ U[:, :units].T + dar @ U[:, units : 2 * units].T
-        dxp[:, t, :units] = daz
-        dxp[:, t, units : 2 * units] = dar
-        dxp[:, t, 2 * units :] = dan
-        dh = dhp + dh_carry
-    dW = x.reshape(-1, x.shape[2]).T @ dxp.reshape(-1, 3 * units)
-    db = dxp.sum(axis=(0, 1))
-    dx = dxp @ W.T
-    return dx, dW, dU, db
+    dz = dh_new * (h_prev - n)
+    dn = dh_new * (1.0 - z)
+    dhp = dh_new * z
+    dan = dn * (1.0 - n * n)
+    drh = dan @ U[:, 2 * units :].T
+    dU[:, 2 * units :] += (r * h_prev).T @ dan
+    dr = drh * h_prev
+    dhp = dhp + drh * r
+    daz = dz * z * (1.0 - z)
+    dar = dr * r * (1.0 - r)
+    dU[:, :units] += h_prev.T @ daz
+    dU[:, units : 2 * units] += h_prev.T @ dar
+    dhp = dhp + daz @ U[:, :units].T + dar @ U[:, units : 2 * units].T
+    return np.concatenate([daz, dar, dan], axis=1), (dhp,)
 
 
 class Bidirectional(Layer):
@@ -580,15 +495,25 @@ class Bidirectional(Layer):
 
     Subclasses give the cell: ``prefix`` (parameter names ``<prefix>_fw_W``
     ... and config type ``bi<prefix>``), ``gates`` (gate blocks per weight
-    matrix), ``initial_bias`` and the per-direction ``direction_forward`` /
-    ``direction_backward`` functions. ``dropout`` zeroes input connections
-    with one mask per direction shared across timesteps (training only).
-    ``return_sequences`` selects the full (B, L, 2u) output or the final
-    states (B, 2u).
+    matrix), ``states`` (state arrays, the output state first), ``saved``
+    (per-step arrays the backward pass reads), ``initial_bias``, and the
+    gate math: ``step(xp_t, state, U)`` returns the new state and the saved
+    arrays, and ``step_backward(d_new, saved, U, dU)`` returns the gradient
+    of the gate pre-activations and of the previous state, adding into
+    ``dU``. Everything else is written once here, for both cells: the input
+    projection, the length mask, the step order, the weight-gradient GEMMs,
+    and the carry of every state (and its gradient) unchanged through padded
+    steps, so outputs do not depend on the amount of padding.
+
+    ``dropout`` zeroes input connections with one mask per direction shared
+    across timesteps (training only). ``return_sequences`` selects the full
+    (B, L, 2u) output or the final states (B, 2u).
     """
 
     prefix: str
     gates: int
+    states: int
+    saved: int
 
     def __init__(self, in_dim, units, dropout=0.0, return_sequences=True, rng=None,
                  dtype=np.float32):
@@ -616,6 +541,49 @@ class Bidirectional(Layer):
     def parameters(self):
         return [p for tag in ("fw", "bw") for p in self.params[tag]]
 
+    def _direction_forward(self, x, lengths, W, U, b, reverse, train):
+        """(outputs, final output state, cache) of one direction; only a
+        train-mode call fills the (steps, saved, batch, units) buffer that
+        ``_direction_backward`` reads, otherwise the cache is None."""
+        batch, steps, _ = x.shape
+        xp = x @ W  # (B, L, gates * u)
+        xp += b
+        mask = length_mask(lengths, batch, steps).astype(x.dtype)
+        state = tuple(np.zeros((batch, self.units), dtype=x.dtype) for _ in range(self.states))
+        order = range(steps - 1, -1, -1) if reverse else range(steps)
+        outputs = np.zeros((batch, steps, self.units), dtype=x.dtype)
+        if train:
+            saved = np.empty((steps, self.saved, batch, self.units), dtype=x.dtype)
+        for t in order:
+            m = mask[:, t : t + 1]
+            new, values = self.step(xp[:, t], state, U)
+            if train:
+                saved[t] = values
+            state = tuple(m * n + (1.0 - m) * s for n, s in zip(new, state))
+            outputs[:, t] = m * new[0]
+        return outputs, state[0], ((saved, mask, order) if train else None)
+
+    def _direction_backward(self, douts, dh_final, cache, x, W, U):
+        """(dx, dW, dU, db) of one direction, from the upstream gradients of
+        its outputs (``douts``) and of its final output state."""
+        saved, mask, order = cache
+        batch, steps, _ = x.shape
+        dxp = np.zeros((batch, steps, W.shape[1]), dtype=x.dtype)
+        dU = np.zeros_like(U)
+        d = [np.zeros((batch, self.units), dtype=x.dtype) for _ in range(self.states)]
+        if dh_final is not None:
+            d[0] = dh_final
+        for t in reversed(order):
+            m = mask[:, t : t + 1]
+            d_new = (m * (douts[:, t] + d[0]), *(m * ds for ds in d[1:]))
+            da, d_prev = self.step_backward(d_new, saved[t], U, dU)
+            dxp[:, t] = da
+            d = [p + (1.0 - m) * q for p, q in zip(d_prev, d)]
+        dW = x.reshape(-1, x.shape[2]).T @ dxp.reshape(-1, W.shape[1])
+        db = dxp.sum(axis=(0, 1))
+        dx = dxp @ W.T
+        return dx, dW, dU, db
+
     def forward(self, x, lengths, train=False, rng=None):
         if x.shape[2] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input features, got {x.shape[2]}")
@@ -627,7 +595,7 @@ class Bidirectional(Layer):
             inputs[tag] = x if masks[tag] is None else x * masks[tag]
         for tag, reverse in (("fw", False), ("bw", True)):
             W, U, b = (p.value for p in self.params[tag])
-            outs[tag], finals[tag], caches[tag] = self.direction_forward(
+            outs[tag], finals[tag], caches[tag] = self._direction_forward(
                 inputs[tag], lengths, W, U, b, reverse, train
             )
         if self.return_sequences:
@@ -650,7 +618,7 @@ class Bidirectional(Layer):
                 douts = np.zeros((batch, steps, self.units), dtype=grad.dtype)
                 dh_final = grad[:, k * self.units : (k + 1) * self.units]
             W, U, _ = (p.value for p in self.params[tag])
-            dxi, *grads = self.direction_backward(douts, dh_final, caches[tag], inputs[tag], W, U)
+            dxi, *grads = self._direction_backward(douts, dh_final, caches[tag], inputs[tag], W, U)
             for p, g in zip(self.params[tag], grads):
                 p.grad += g
             dx += dxi if masks[tag] is None else dxi * masks[tag]
@@ -668,9 +636,9 @@ class Bidirectional(Layer):
 class BiLSTM(Bidirectional):
     """Bidirectional LSTM; forget-gate bias starts at 1."""
 
-    prefix, gates = "lstm", 4
-    direction_forward = staticmethod(_lstm_direction_forward)
-    direction_backward = staticmethod(_lstm_direction_backward)
+    prefix, gates, states, saved = "lstm", 4, 2, 7
+    step = staticmethod(_lstm_step)
+    step_backward = staticmethod(_lstm_step_backward)
 
     def initial_bias(self, dtype):
         b = super().initial_bias(dtype)
@@ -684,9 +652,9 @@ class BiLSTM(Bidirectional):
 class BiGRU(Bidirectional):
     """Bidirectional GRU returning the full output sequence."""
 
-    prefix, gates = "gru", 3
-    direction_forward = staticmethod(_gru_direction_forward)
-    direction_backward = staticmethod(_gru_direction_backward)
+    prefix, gates, states, saved = "gru", 3, 1, 4
+    step = staticmethod(_gru_step)
+    step_backward = staticmethod(_gru_step_backward)
 
     def __init__(self, in_dim, units, dropout=0.0, rng=None, dtype=np.float32):
         super().__init__(in_dim, units, dropout, True, rng, dtype)
@@ -754,8 +722,8 @@ class ModelGraph:
     def forward(self, indices, lengths, train=False, rng=None) -> np.ndarray:
         """Probabilities in (0, 1), one per row of ``indices``."""
         indices = np.asarray(indices)
-        if indices.ndim != 2 or indices.shape[0] == 0:
-            raise ShapeError("expected a non-empty (batch, steps) index array")
+        if indices.ndim != 2 or 0 in indices.shape:
+            raise ShapeError(f"expected non-empty (batch, steps) indices, got shape {indices.shape}")
         x = indices
         for i, layer in enumerate(self.layers):
             try:

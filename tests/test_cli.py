@@ -485,6 +485,16 @@ def untrained_model(tmp_path):
      EXIT_USAGE),
     ("train", ["--arch", "cnn"], "validation_fraction=0", EXIT_USAGE),
     ("train", ["--arch", "cnn"], "validation_fraction=0.34", EXIT_OK),
+    # so is an integer option below its least value, from either source
+    ("train", ["--arch", "cnn", "--batch-size", "0"], "batch_size=4", EXIT_USAGE),
+    ("train", ["--arch", "cnn"], "max_epochs=0", EXIT_USAGE),
+    ("train", ["--arch", "cnn"], "patience=-1", EXIT_USAGE),
+    ("train", ["--arch", "cnn"], "min_count=0", EXIT_USAGE),
+    ("train", ["--arch", "cnn", "--embedding-dim", "0"], "seed=1", EXIT_USAGE),
+    ("train", ["--arch", "cnn"], "max_len=0", EXIT_USAGE),
+    ("build-lexicon", ["--k", "-1"], "k=3", EXIT_USAGE),
+    ("build-lexicon", [], "k=-1", EXIT_USAGE),
+    ("build-lexicon", [], "k=0", EXIT_OK),
 ])
 def test_config_file_values(command, flags, config, code, train_tsv, embeddings_file,
                             untrained_model, tmp_path):

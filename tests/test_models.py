@@ -200,8 +200,18 @@ def test_forward_shape_errors_name_the_layer(tiny_matrix):
     with pytest.raises(ShapeError, match=r"layer 1 \(ParallelConcat\)"):
         # two timesteps cannot host a width-3 convolution window
         model.forward(np.array([[2, 3]]), np.array([2]))
-    with pytest.raises(ShapeError):
-        model.forward(np.zeros((0, 12), dtype=np.int32), np.zeros(0, dtype=np.int32))
+
+
+@pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
+def test_empty_index_arrays_raise_shape_error(tiny_matrix, builder):
+    from offlang.nn import ShapeError
+
+    model = builder(tiny_matrix, hidden=4, expected_dim=16, seed=0)
+    for rows, steps in ((0, 12), (3, 0)):
+        with pytest.raises(ShapeError, match="non-empty"):
+            model.forward(np.zeros((rows, steps), np.int32), np.zeros(rows, np.int32))
+    with pytest.raises(ShapeError, match="non-empty"):
+        predict_proba(model, np.zeros((3, 0), np.int32), np.zeros(3, np.int32))
 
 
 def test_label_threshold():
