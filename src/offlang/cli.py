@@ -25,6 +25,7 @@ from .models import (
     ARCH_BLSTM_BGRU,
     ARCH_CNN,
     BUILDERS,
+    CNN_WIDTHS,
     encode_split,
     ensemble_predict,
 )
@@ -247,6 +248,9 @@ def cmd_train(args) -> int:
     if not args.arch:
         raise UsageError("missing required option --arch")
     architecture = ARCH_FLAGS[args.arch]
+    if architecture == ARCH_CNN and args.max_len < max(CNN_WIDTHS):
+        raise UsageError(f"--max-len {args.max_len} is shorter than the widest cnn "
+                         f"convolution window ({max(CNN_WIDTHS)})")
     data_path = _require_path(args.data, "--data")
     emb_path = _require_path(args.embeddings, "--embeddings")
     out = _out_path(args)

@@ -44,6 +44,8 @@ ARCH_BLSTM_BGRU = "blstm_bgru"
 
 EMBEDDING_DIM = 200
 WORD_DROPOUT = 0.3
+# cnn's convolution windows; a sequence shorter than the widest cannot pass
+CNN_WIDTHS = (2, 3, 4)
 
 
 def _check_matrix(matrix: np.ndarray, expected_dim: int) -> np.ndarray:
@@ -68,7 +70,7 @@ def build_cnn(
     rng = np.random.default_rng(seed)
     dim = matrix.shape[1]
     branches = [
-        [Conv1D(dim, filters, width, rng=rng, dtype=dtype), MaxOverTime()] for width in (2, 3, 4)
+        [Conv1D(dim, filters, width, rng=rng, dtype=dtype), MaxOverTime()] for width in CNN_WIDTHS
     ]
     layers = [
         Embedding(matrix.astype(dtype), WORD_DROPOUT),

@@ -8,7 +8,9 @@ Conventions:
     empty window;
   * recurrent layers carry state through padded steps unchanged, so outputs
     do not depend on the amount of padding; the one masked time loop of
-    `Bidirectional` does this for both the LSTM and the GRU cell;
+    `Bidirectional` does this for both the LSTM and the GRU cell, and stops
+    at the batch's longest row, since the steps after it are padding in
+    every row;
   * `forward(..., train=True)` caches activations for one `backward` call;
     inference-mode forwards cache nothing and are pure;
   * sums over time add one step after another, so the zeros of padding come
@@ -505,6 +507,16 @@ class Bidirectional(Layer):
     and the carry of every state (and its gradient) unchanged through padded
     steps, so outputs do not depend on the amount of padding.
 
+    The time loop runs only over the batch's first ``max(lengths)`` steps:
+    after them every row is padding, and a step would only carry the states
+    and their gradients through and add zeros. Inside the loop, a row shorter
+    than the longest still steps through its padding with the carry. The
+    input projection, the weight-gradient GEMMs, the per-step saved buffer
+    and the outputs keep the full padded width: the GEMMs' sums then group
+    their terms as before, and buffers of one size from batch to batch keep
+    training's peak memory where it was (buffers cut to the longest row
+    raised it on some seeds).
+
     ``dropout`` zeroes input connections with one mask per direction shared
     across timesteps (training only). ``return_sequences`` selects the full
     (B, L, 2u) output or the final states (B, 2u).
@@ -550,7 +562,8 @@ class Bidirectional(Layer):
         xp += b
         mask = length_mask(lengths, batch, steps).astype(x.dtype)
         state = tuple(np.zeros((batch, self.units), dtype=x.dtype) for _ in range(self.states))
-        order = range(steps - 1, -1, -1) if reverse else range(steps)
+        live = steps if lengths is None else min(steps, int(np.max(lengths, initial=0)))
+        order = range(live - 1, -1, -1) if reverse else range(live)
         outputs = np.zeros((batch, steps, self.units), dtype=x.dtype)
         if train:
             saved = np.empty((steps, self.saved, batch, self.units), dtype=x.dtype)

@@ -464,6 +464,9 @@ def untrained_model(tmp_path):
     return path
 
 
+VALIDATE = ["--validation-fraction", "0.34"]  # both splits of the 8 rows non-empty
+
+
 @pytest.mark.parametrize("command, flags, config, code", [
     # a config value outside the option's choices is a usage error, as a flag is
     ("train", [], "arch=lstm", EXIT_USAGE),
@@ -495,13 +498,20 @@ def untrained_model(tmp_path):
     ("build-lexicon", ["--k", "-1"], "k=3", EXIT_USAGE),
     ("build-lexicon", [], "k=-1", EXIT_USAGE),
     ("build-lexicon", [], "k=0", EXIT_OK),
+    # cnn needs a --max-len of at least its widest convolution window (4);
+    # the recurrent models do not
+    ("train", ["--arch", "cnn", "--max-len", "3"], "max_len=16", EXIT_USAGE),
+    ("train", ["--arch", "cnn"], "max_len=1", EXIT_USAGE),
+    ("train", ["--arch", "cnn", "--max-len", "4", *VALIDATE], "max_len=3", EXIT_OK),
+    ("train", ["--arch", "cnn", *VALIDATE], "max_len=4", EXIT_OK),
+    ("train", ["--arch", "blstm-att", *VALIDATE], "max_len=3", EXIT_OK),
 ])
 def test_config_file_values(command, flags, config, code, train_tsv, embeddings_file,
                             untrained_model, tmp_path):
     unlabeled = write_olid(tmp_path / "u.tsv", [("x1", "nice day")], has_labels=False)
     argv = {
         "train": ["--data", str(train_tsv), "--embeddings", str(embeddings_file),
-                  "--embedding-dim", "8", "--max-len", "16", "--max-epochs", "1"],
+                  "--embedding-dim", "8", "--max-epochs", "1"],
         "predict": [str(untrained_model), "--data", str(train_tsv)],
         "build-lexicon": ["--data", str(train_tsv)],
         "preprocess": ["--data", str(unlabeled)],

@@ -168,11 +168,14 @@ def test_recurrent_outputs_zero_on_padding():
         assert np.any(y[1, :2] != 0.0)
 
 
-@pytest.mark.parametrize("make", [
+RECURRENT = pytest.mark.parametrize("make", [
     lambda: BiLSTM(3, 2, 0.25, rng=rng(8), dtype=np.float64),
     lambda: BiLSTM(3, 2, 0.25, return_sequences=False, rng=rng(8), dtype=np.float64),
     lambda: BiGRU(3, 2, 0.25, rng=rng(8), dtype=np.float64),
 ], ids=["bilstm", "bilstm_final", "bigru"])
+
+
+@RECURRENT
 def test_recurrent_output_independent_of_padding_amount(make):
     # The same tokens padded to different widths give the same outputs and
     # gradients bit for bit in training: padded steps carry every state and
@@ -197,6 +200,45 @@ def test_recurrent_output_independent_of_padding_amount(make):
     for name in g_short:
         if not name.endswith("_W"):
             assert np.array_equal(g_short[name], g_long[name]), name
+
+
+def count_steps(monkeypatch, cls):
+    """Counts of the cell's ``step`` and ``step_backward`` calls."""
+    counts = {"step": 0, "step_backward": 0}
+    for name in counts:
+        def counted(*args, _inner=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(cls, name, staticmethod(counted))
+    return counts
+
+
+@pytest.mark.parametrize("cls", [BiLSTM, BiGRU])
+def test_recurrent_loop_stops_at_the_longest_row(cls, monkeypatch):
+    counts = count_steps(monkeypatch, cls)
+    layer = cls(3, 2, rng=rng(12), dtype=np.float64)
+    x = rng(13).normal(size=(4, 8, 3))
+    for lengths, live in ((np.array([5, 3, 1, 0]), 5), (None, 8)):
+        counts.update(step=0, step_backward=0)
+        y, _ = layer.forward(x, lengths, train=True, rng=rng(14))
+        layer.backward(np.ones_like(y))
+        assert counts == {"step": 2 * live, "step_backward": 2 * live}
+        layer.forward(x, lengths)
+        assert counts["step"] == 4 * live
+
+
+@RECURRENT
+def test_all_padding_batch_runs_no_step(make, monkeypatch):
+    layer = make()
+    counts = count_steps(monkeypatch, type(layer))
+    x = rng(15).normal(size=(3, 6, 3))
+    y, _ = layer.forward(x, np.zeros(3, dtype=int), train=True, rng=rng(16))
+    dx = layer.backward(rng(17).normal(size=y.shape))
+    assert counts == {"step": 0, "step_backward": 0}
+    assert y.shape == ((3, 6, 4) if layer.return_sequences else (3, 4))
+    assert not np.any(y) and not np.any(dx)
+    for p in layer.parameters():
+        assert np.all(np.isfinite(p.grad)) and not np.any(p.grad), p.name
 
 
 def test_bilstm_final_state_matches_last_valid_sequence_output():
