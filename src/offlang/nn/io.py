@@ -145,8 +145,10 @@ def load_model(path):
             max_len = int(header["max_len"])
         except ModelFormatError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # ValueError covers undecodable UTF-8, invalid JSON and bad layer values
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
+            # ValueError covers undecodable UTF-8, invalid JSON and bad layer values,
+            # OverflowError an Infinity size or index, RecursionError deep nesting
             raise ModelFormatError(f"{path}: bad header: {exc!r}") from None
         params = model.parameters()
         if len(declared) != len(params):

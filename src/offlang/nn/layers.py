@@ -57,12 +57,11 @@ def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below: exp never overflows.
+    # min(z, -z) is -|z| that keeps a NaN's sign, as e^z of a NaN z does.
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def length_mask(lengths, batch, steps, min_one=False):

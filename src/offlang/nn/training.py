@@ -110,15 +110,18 @@ def _inference_width(model: ModelGraph, steps: int, longest: int) -> int:
 def predict_proba(model: ModelGraph, X, lengths) -> np.ndarray:
     """Deterministic inference probabilities, computed in batches.
 
-    Each batch is cut to the columns its longest row needs (see
-    ``_inference_width``) and runs in blocks of at most ``INFERENCE_CELLS``
-    cells; a block of fewer than ``MIN_BLOCK_ROWS`` rows is filled up with
-    copies of its own rows, whose outputs are dropped. A row's probability
-    is the same bit for bit whatever the padding and whichever rows share
-    its batch.
+    Rows run in length order and their probabilities are put back in input
+    order, so each batch holds rows of similar length and the cost follows
+    each row's own length. Each batch is cut to the columns its longest row
+    needs (see ``_inference_width``) and runs in blocks of at most
+    ``INFERENCE_CELLS`` cells; a block of fewer than ``MIN_BLOCK_ROWS`` rows
+    is filled up with copies of its own rows, whose outputs are dropped. A
+    row's probability is the same bit for bit whatever the padding and
+    whichever rows share its batch.
     """
-    X = np.asarray(X)
     lengths = np.asarray(lengths)
+    order = np.argsort(lengths, kind="stable")
+    X, lengths = np.asarray(X)[order], lengths[order]
     pieces = []
     for start in range(0, X.shape[0], INFERENCE_BATCH):
         stop = min(start + INFERENCE_BATCH, X.shape[0])
@@ -128,7 +131,10 @@ def predict_proba(model: ModelGraph, X, lengths) -> np.ndarray:
             n = min(rows, stop - block)
             idx = block + np.arange(max(n, MIN_BLOCK_ROWS)) % n
             pieces.append(model.forward(X[idx, :width], lengths[idx], train=False)[:n])
-    return np.concatenate(pieces) if pieces else np.zeros(0)
+    probs = np.concatenate(pieces) if pieces else np.zeros(0)
+    out = np.empty_like(probs)
+    out[order] = probs
+    return out
 
 
 def binary_accuracy(probs, targets, threshold: float = 0.5) -> float:

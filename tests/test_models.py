@@ -143,14 +143,38 @@ def test_inference_rows_bound_the_cells_of_a_forward(tiny_matrix, monkeypatch):
     rng = np.random.default_rng(24)
     for n in (1, 7, 8, 130, 300):
         for longest in (3, 50, 97, 200):
-            lengths = rng.integers(0, longest + 1, size=n)
-            lengths[n // 2] = longest
-            X = np.where(np.arange(200) < lengths[:, None], 2, 0).astype(np.int32)
-            assert predict_proba(model, X, lengths).shape == (n,)
+            # random lengths, and every row as long as the longest
+            for lengths in (rng.integers(0, longest + 1, size=n), np.full(n, longest)):
+                lengths[n // 2] = longest
+                X = np.where(np.arange(200) < lengths[:, None], 2, 0).astype(np.int32)
+                assert predict_proba(model, X, lengths).shape == (n,)
     assert (61, 200) in shapes  # 12,200 cells against 128 x 96
     for rows, width in shapes:
         assert rows >= 8
         assert rows == 8 or rows * width <= 128 * 96, (rows, width)
+
+
+@pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
+def test_predict_proba_runs_rows_in_length_order(builder, monkeypatch):
+    rng = np.random.default_rng(25)
+    model = paper_model(builder, rng, 9)
+    lengths = np.tile([5, 150], 128)
+    X = padded_rows(rng, lengths)
+    whole = [model.forward(X[s : s + 128], lengths[s : s + 128], train=False) for s in (0, 128)]
+    embedding = model.layers[0]
+    shapes = []
+    forward = embedding.forward
+
+    def spy(indices, lengths, train=False, rng=None):
+        shapes.append(indices.shape)
+        return forward(indices, lengths, train, rng)
+
+    monkeypatch.setattr(embedding, "forward", spy)
+    probs = predict_proba(model, X, lengths)
+    # one batch of the 128 short rows at 16 columns, then the long ones in
+    # row blocks; in input order both batches would need all 150 columns
+    assert shapes == [(128, 16), (81, 150), (47, 150)]
+    assert np.array_equal(probs, np.concatenate(whole))
 
 
 def test_attention_unchanged_at_inference_width():

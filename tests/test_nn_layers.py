@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from offlang.nn import (
     Parameter,
     ShapeError,
 )
+from offlang.nn.layers import sigmoid
 
 
 def rng(seed=0):
@@ -96,6 +99,35 @@ def test_dense_sigmoid_strictly_inside_unit_interval():
     x = np.array([[5.0], [-5.0]], dtype=np.float32)
     y, _ = layer.forward(x, None)
     assert np.all(y > 0.0) and np.all(y < 1.0)
+
+
+def two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit(dtype):
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                         1e4, -1e4, 88.8, -88.8, 710.0, -746.0, 1e-30, -1e-30])
+    r = rng(11)
+    for batch in (1, 5, 32, 128):
+        scale = np.array([1.0, 10.0, 100.0, 1e4])[r.integers(0, 4, size=(batch, 1))]
+        gates = (r.normal(size=(batch, 4 * 16)) * scale).astype(dtype)
+        gates.flat[: specials.size] = specials
+        # strided column slices, as the LSTM and GRU steps pass their gates
+        for k in range(4):
+            z = gates[:, 16 * k : 16 * (k + 1)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = sigmoid(z)
+            want = two_branch_sigmoid(z)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (batch, k)
 
 
 def test_one_unit_dense_row_does_not_depend_on_the_other_rows():

@@ -77,6 +77,14 @@ def _container(header: bytes, declared_len: int | None = None) -> bytes:
     return b"OFNN" + struct.pack("<I", 1) + struct.pack("<Q", length) + header
 
 
+def _rewrite_header(path, edit):
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + length])
+    edit(header)
+    path.write_bytes(_container(json.dumps(header).encode()) + blob[16 + length :])
+
+
 @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe{}"], ids=["json", "utf8"])
 def test_undecodable_header_rejected(tmp_path, header):
     path = tmp_path / "m.bin"
@@ -90,11 +98,7 @@ def test_header_missing_key_rejected(tmp_path, tiny_matrix, key):
     model = build_cnn(tiny_matrix, filters=4, hidden=4, expected_dim=16, seed=4)
     path = tmp_path / "m.bin"
     save_model(path, model, {"w": 2}, max_len=12)
-    blob = path.read_bytes()
-    (length,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + length])
-    del header[key]
-    path.write_bytes(_container(json.dumps(header).encode()) + blob[16 + length :])
+    _rewrite_header(path, lambda header: header.pop(key))
     with pytest.raises(ModelFormatError, match=key):
         load_model(path)
 
@@ -123,11 +127,40 @@ def test_header_length_beyond_file_rejected(tmp_path):
 def test_huge_layer_size_rejected_before_allocation(tmp_path, tiny_matrix, index, layer_type, key):
     path = tmp_path / "m.bin"
     save_model(path, small_models(tiny_matrix)[index], {"w": 2}, max_len=12)
-    blob = path.read_bytes()
-    (length,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + length])
-    layer = next(c for c in header["layers"] if c["type"] == layer_type)
-    layer[key] = 10**12  # 10^12 x 16 floats of embedding alone would be 64 TB
-    path.write_bytes(_container(json.dumps(header).encode()) + blob[16 + length :])
+
+    def edit(header):
+        layer = next(c for c in header["layers"] if c["type"] == layer_type)
+        layer[key] = 10**12  # 10^12 x 16 floats of embedding alone would be 64 TB
+
+    _rewrite_header(path, edit)
     with pytest.raises(ModelFormatError, match="the layers need"):
+        load_model(path)
+
+
+INF = float("inf")  # json writes it as the bare word Infinity
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header["layers"][0].update(vocab_size=INF),
+    lambda header: header.update(max_len=INF),
+    lambda header: header["vocabulary"].update(w=INF),
+], ids=["vocab_size", "max_len", "vocabulary"])
+def test_infinite_size_or_index_rejected(tmp_path, tiny_matrix, edit):
+    path = tmp_path / "m.bin"
+    save_model(path, small_models(tiny_matrix)[0], {"w": 2}, max_len=12)
+    _rewrite_header(path, edit)
+    with pytest.raises(ModelFormatError, match="bad header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("header", [
+    b'{"layers": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"architecture": "cnn", "max_len": 3, "parameters": [], "vocabulary": {}, "layers": ['
+    + b'{"type": "parallel", "branches": [[' * 3000
+    + b'{"type": "dropout", "rate": 0.5}' + b"]]}" * 3000 + b"]}",
+], ids=["nested-lists", "nested-parallel"])
+def test_deeply_nested_header_rejected(tmp_path, header):
+    path = tmp_path / "m.bin"
+    path.write_bytes(_container(header))
+    with pytest.raises(ModelFormatError, match="bad header"):
         load_model(path)
