@@ -178,12 +178,19 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse ``argv``; with ``--config``, parse it again with the config values,
     converted by each option's ``type`` and checked against its ``choices``, as
-    the subcommand's defaults, so flags still win. Keys naming no value option
-    of the subcommand are ignored."""
+    the subcommand's defaults, so flags still win. A key naming an option of
+    another subcommand, or a flag that takes no value, is ignored; a key
+    naming no option of any subcommand, such as a misspelt one, is a usage
+    error."""
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         values = _load_config_file(args.config)
+        known = {a.dest for p in subparsers.values() for a in p._actions if a.option_strings}
+        for key in values:
+            if key not in known:
+                raise UsageError(f"{args.config}: unknown key {key!r}: no subcommand has "
+                                 f"--{key.replace('_', '-')}")
         sub = subparsers[args.command]
         defaults = {}
         for a in sub._actions:

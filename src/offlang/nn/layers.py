@@ -14,21 +14,29 @@ Conventions:
   * `forward(..., train=True)` caches activations for one `backward` call;
     inference-mode forwards cache nothing and are pure;
   * sums over time add one step after another, so the zeros of padding come
-    last and change no bit, and a one-unit `Dense` sums each row on its own:
-    a row's inference output depends neither on its padded width nor on the
-    other rows of its batch (of at least 8 rows, below which BLAS takes
-    other kernels; see `predict_proba`).
+    last and change no bit, and a one-unit `Dense` and the attention scores
+    sum each row or position on its own: a row's inference output depends
+    neither on its padded width nor on the other rows of its batch (of at
+    least 8 rows, below which BLAS takes other kernels; see `predict_proba`);
+  * weight-gradient and bias sums over positions (`position_sums`) take only
+    the valid positions, in (row, step) order, in fixed chunks added in
+    order: trained weights depend neither on the padded width of a batch nor
+    on the BLAS thread count.
 """
 from __future__ import annotations
 
 import numpy as np
 
-# Rows per block where a layer would otherwise copy a whole (batch, time,
-# features) array: Conv1D's inference windows and MaxOverTime's masked copy.
-# Both work one row at a time (numpy multiplies a stack of matrices one
-# matrix at a time), so blocks give the same bytes as the whole batch while
-# the copies stay small at any padded width.
+# Rows per block where a layer would otherwise make a temporary as large as a
+# whole (batch, time, features) array: Conv1D's per-offset products and
+# MaxOverTime's masked copy. Both work one row at a time (numpy multiplies a
+# stack of matrices one matrix at a time), so blocks give the same bytes as
+# the whole batch while the temporaries stay small at any padded width.
 ROW_BLOCK = 8
+# Rows per partial sum in `position_sums`. OpenBLAS (Haswell kernels) sums a
+# GEMM's inner dimension in an order that depends on the thread count for
+# some lengths above 448; at 256 and below it does not.
+SUM_ROWS = 256
 
 
 class ShapeError(ValueError):
@@ -78,6 +86,26 @@ def length_mask(lengths, batch, steps, min_one=False):
     return np.arange(steps)[None, :] < lengths[:, None]
 
 
+def position_sums(grad, x=None):
+    """Sums over the positions (rows) of ``grad``, (positions, features).
+
+    Returns ``(x.T @ grad, grad summed over rows)``, the weight and bias
+    gradients, with None for the first when ``x`` (positions, inputs) is
+    None. Callers pass the valid positions only, as ``a[valid]`` in (row,
+    step) order. The rows are summed in ``SUM_ROWS``-row chunks added in
+    order, so the bytes depend neither on the padding around those positions
+    nor on the BLAS thread count.
+    """
+    weight = None if x is None else np.zeros((x.shape[1], grad.shape[1]), dtype=grad.dtype)
+    total = np.zeros(grad.shape[1:], dtype=grad.dtype)
+    for start in range(0, grad.shape[0], SUM_ROWS):
+        part = slice(start, start + SUM_ROWS)
+        total += grad[part].sum(axis=0)
+        if x is not None:
+            weight += x[part].T @ grad[part]
+    return weight, total
+
+
 def dropout_mask(rng, shape, rate, dtype):
     """Inverted-dropout keep mask: 0 with probability rate, else 1/(1-rate)."""
     keep = (rng.random(size=shape) >= rate).astype(dtype)
@@ -125,14 +153,20 @@ class Embedding(Layer):
     def parameters(self):
         return [self.weights]
 
-    def forward(self, indices, lengths, train=False, rng=None):
+    def forward(self, indices, lengths, train=False, rng=None, steps=None):
+        """``steps`` is the padded width a training batch was cut from (by
+        default its own width): word dropout draws its mask at that width and
+        keeps the batch's columns, so the random stream and the mask of each
+        token do not depend on the cut."""
         indices = np.asarray(indices)
         if indices.min(initial=0) < 0 or indices.max(initial=0) >= self.weights.value.shape[0]:
             raise ShapeError("token index out of vocabulary range")
         out = self.weights.value[indices]
         mask = None
         if train and self.word_dropout_rate > 0.0:
-            mask = dropout_mask(rng, indices.shape, self.word_dropout_rate, out.dtype)
+            batch, width = indices.shape
+            shape = (batch, width if steps is None else steps)
+            mask = dropout_mask(rng, shape, self.word_dropout_rate, out.dtype)[:, :width]
             out = out * mask[..., None]
         if train:
             self._cache = (indices, mask)
@@ -254,7 +288,9 @@ class Conv1D(Layer):
 
     Kernel shape (width, in_dim, filters); output length L - width + 1. The
     output at position t is valid only if the whole window lies inside the
-    true (unpadded) input, so conveyed lengths shrink by width - 1.
+    true (unpadded) input, so conveyed lengths shrink by width - 1. Outputs
+    at the other positions are 0, except at position 0, which pooling's
+    fallback reads for a row too short for one window.
     """
 
     def __init__(self, in_dim, filters, width, rng=None, dtype=np.float32):
@@ -279,40 +315,39 @@ class Conv1D(Layer):
         if steps < self.width:
             raise ShapeError(f"sequence length {steps} shorter than filter width {self.width}")
         out_lengths = None if lengths is None else np.maximum(lengths - (self.width - 1), 0)
-        if train:
-            cols, z = self._convolve(x)
-            self._cache = (cols, z > 0, x.shape)
-            return np.maximum(z, 0), out_lengths
-        y = np.empty((batch, steps - self.width + 1, self.filters), dtype=x.dtype)
+        out_steps = steps - self.width + 1
+        valid = length_mask(out_lengths, batch, out_steps, min_one=True)
+        W = self.weights.value
+        # z is the sum over offsets i of x[:, i:i+T'] @ W[i], added in offset
+        # order: each product sums over in_dim only, in one order whatever the
+        # BLAS thread count, where one im2col product over width * in_dim
+        # does not for some widths
+        y = np.empty((batch, out_steps, self.filters), dtype=x.dtype)
         for start in range(0, batch, ROW_BLOCK):
-            _, z = self._convolve(x[start : start + ROW_BLOCK])
-            np.maximum(z, 0, out=y[start : start + ROW_BLOCK])
+            block = slice(start, start + ROW_BLOCK)
+            z = y[block]
+            np.matmul(x[block, :out_steps], W[0], out=z)
+            for i in range(1, self.width):
+                z += x[block, i : i + out_steps] @ W[i]
+            z += self.bias.value
+            np.maximum(z, 0, out=z)
+            z *= valid[block, :, None]
+        if train:
+            self._cache = (x, y > 0, valid)
         return y, out_lengths
 
-    def _convolve(self, x):
-        """(window columns, pre-activation) of the valid convolution of x."""
-        batch, steps, _ = x.shape
-        out_steps = steps - self.width + 1
-        windows = np.stack([x[:, i : i + out_steps, :] for i in range(self.width)], axis=2)
-        cols = windows.reshape(batch, out_steps, self.width * self.in_dim)
-        z = cols @ self.weights.value.reshape(-1, self.filters)
-        z += self.bias.value
-        return cols, z
-
     def backward(self, grad):
-        cols, relu_mask, x_shape = self._take_cache()
-        batch, out_steps, _ = cols.shape
-        dz = grad * relu_mask
-        flat_cols = cols.reshape(-1, self.width * self.in_dim)
-        flat_dz = dz.reshape(-1, self.filters)
-        self.weights.grad += (flat_cols.T @ flat_dz).reshape(self.weights.value.shape)
-        self.bias.grad += flat_dz.sum(axis=0)
-        dcols = (flat_dz @ self.weights.value.reshape(-1, self.filters).T).reshape(
-            batch, out_steps, self.width, self.in_dim
-        )
-        dx = np.zeros(x_shape, dtype=grad.dtype)
-        for i in range(self.width):
-            dx[:, i : i + out_steps, :] += dcols[:, :, i, :]
+        x, relu_mask, valid = self._take_cache()
+        dz = (grad * relu_mask)[valid]  # 0 at the other positions
+        rows, starts = np.nonzero(valid)  # (row, window start) in (row, step) order
+        cols = np.concatenate([x[rows, starts + i] for i in range(self.width)], axis=1)
+        dW, db = position_sums(dz, cols)
+        self.weights.grad += dW.reshape(self.weights.value.shape)
+        self.bias.grad += db
+        dcols = dz @ self.weights.value.reshape(-1, self.filters).T
+        dx = np.zeros(x.shape, dtype=grad.dtype)
+        for i in range(self.width):  # no position repeats within one offset
+            dx[rows, starts + i] += dcols[:, i * self.in_dim : (i + 1) * self.in_dim]
         return dx
 
     def config(self):
@@ -398,7 +433,10 @@ class AdditiveAttention(Layer):
         if dim != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input features, got {dim}")
         u = np.tanh(x @ self.weights.value + self.bias.value)  # (B, L, A)
-        scores = u @ self.score.value  # (B, L)
+        # einsum sums each position on its own; a matrix-vector product sums
+        # its matrix's last few rows in another order, so a score's bits would
+        # depend on the padded width
+        scores = np.einsum("bla,a->bl", u, self.score.value)
         valid = length_mask(lengths, batch, steps, min_one=True)
         scores = np.where(valid, scores, -np.inf)
         scores = scores - scores.max(axis=1, keepdims=True)
@@ -408,19 +446,21 @@ class AdditiveAttention(Layer):
         weights = weights / np.cumsum(weights, axis=1)[:, -1:]
         context = (weights[:, :, None] * x).sum(axis=1)
         if train:
-            self._cache = (x, u, weights)
+            self._cache = (x, u, weights, valid)
         return context, None
 
     def backward(self, grad):
-        x, u, weights = self._take_cache()
+        x, u, weights, valid = self._take_cache()
         dweights = np.einsum("bf,blf->bl", grad, x)
         dx = weights[:, :, None] * grad[:, None, :]
-        dscores = weights * (dweights - (weights * dweights).sum(axis=1, keepdims=True))
+        # a running sum, as the forward's softmax denominator
+        dscores = weights * (dweights - np.cumsum(weights * dweights, axis=1)[:, -1:])
         du = dscores[:, :, None] * self.score.value
-        self.score.grad += (dscores[:, :, None] * u).sum(axis=(0, 1))
+        self.score.grad += position_sums((dscores[:, :, None] * u)[valid])[1]
         dpre = du * (1.0 - u * u)
-        self.weights.grad += np.einsum("bld,bla->da", x, dpre)
-        self.bias.grad += dpre.sum(axis=(0, 1))
+        dW, db = position_sums(dpre[valid], x[valid])
+        self.weights.grad += dW
+        self.bias.grad += db
         dx += dpre @ self.weights.value.T
         return dx
 
@@ -502,7 +542,7 @@ class Bidirectional(Layer):
     arrays, and ``step_backward(d_new, saved, U, dU)`` returns the gradient
     of the gate pre-activations and of the previous state, adding into
     ``dU``. Everything else is written once here, for both cells: the input
-    projection, the length mask, the step order, the weight-gradient GEMMs,
+    projection, the length mask, the step order, the weight-gradient sums,
     and the carry of every state (and its gradient) unchanged through padded
     steps, so outputs do not depend on the amount of padding.
 
@@ -510,11 +550,9 @@ class Bidirectional(Layer):
     after them every row is padding, and a step would only carry the states
     and their gradients through and add zeros. Inside the loop, a row shorter
     than the longest still steps through its padding with the carry. The
-    input projection, the weight-gradient GEMMs, the per-step saved buffer
-    and the outputs keep the full padded width: the GEMMs' sums then group
-    their terms as before, and buffers of one size from batch to batch keep
-    training's peak memory where it was (buffers cut to the longest row
-    raised it on some seeds).
+    input weight and bias gradients sum over the valid steps only
+    (``position_sums``), so the bytes of every gradient are those of the
+    same batch at any padded width.
 
     ``dropout`` zeroes input connections with one mask per direction shared
     across timesteps (training only). ``return_sequences`` selects the full
@@ -559,7 +597,8 @@ class Bidirectional(Layer):
         batch, steps, _ = x.shape
         xp = x @ W  # (B, L, gates * u)
         xp += b
-        mask = length_mask(lengths, batch, steps).astype(x.dtype)
+        valid = length_mask(lengths, batch, steps)
+        mask = valid.astype(x.dtype)
         state = tuple(np.zeros((batch, self.units), dtype=x.dtype) for _ in range(self.states))
         live = steps if lengths is None else min(steps, int(np.max(lengths, initial=0)))
         order = range(live - 1, -1, -1) if reverse else range(live)
@@ -573,12 +612,13 @@ class Bidirectional(Layer):
                 saved[t] = values
             state = tuple(m * n + (1.0 - m) * s for n, s in zip(new, state))
             outputs[:, t] = m * new[0]
-        return outputs, state[0], ((saved, mask, order) if train else None)
+        return outputs, state[0], ((saved, valid, order) if train else None)
 
     def _direction_backward(self, douts, dh_final, cache, x, W, U):
         """(dx, dW, dU, db) of one direction, from the upstream gradients of
         its outputs (``douts``) and of its final output state."""
-        saved, mask, order = cache
+        saved, valid, order = cache
+        mask = valid.astype(x.dtype)
         batch, steps, _ = x.shape
         dxp = np.zeros((batch, steps, W.shape[1]), dtype=x.dtype)
         dU = np.zeros_like(U)
@@ -591,8 +631,7 @@ class Bidirectional(Layer):
             da, d_prev = self.step_backward(d_new, saved[t], U, dU)
             dxp[:, t] = da
             d = [p + (1.0 - m) * q for p, q in zip(d_prev, d)]
-        dW = x.reshape(-1, x.shape[2]).T @ dxp.reshape(-1, W.shape[1])
-        db = dxp.sum(axis=(0, 1))
+        dW, db = position_sums(dxp[valid], x[valid])
         dx = dxp @ W.T
         return dx, dW, dU, db
 
@@ -731,15 +770,22 @@ class ModelGraph:
         for p in self.parameters():
             p.zero_grad()
 
-    def forward(self, indices, lengths, train=False, rng=None) -> np.ndarray:
-        """Probabilities in (0, 1), one per row of ``indices``."""
+    def forward(self, indices, lengths, train=False, rng=None, steps=None) -> np.ndarray:
+        """Probabilities in (0, 1), one per row of ``indices``.
+
+        ``steps`` is the padded width a training batch was cut from; the
+        ``Embedding`` draws its word-dropout mask at that width.
+        """
         indices = np.asarray(indices)
         if indices.ndim != 2 or 0 in indices.shape:
             raise ShapeError(f"expected non-empty (batch, steps) indices, got shape {indices.shape}")
         x = indices
         for i, layer in enumerate(self.layers):
             try:
-                x, lengths = layer.forward(x, lengths, train, rng)
+                if isinstance(layer, Embedding):
+                    x, lengths = layer.forward(x, lengths, train, rng, steps)
+                else:
+                    x, lengths = layer.forward(x, lengths, train, rng)
             except ShapeError as exc:
                 raise ShapeError(f"layer {i} ({type(layer).__name__}): {exc}") from None
         if x.ndim != 2 or x.shape[1] != 1:

@@ -93,12 +93,13 @@ MIN_BLOCK_ROWS = 8
 def _inference_width(model: ModelGraph, steps: int, longest: int) -> int:
     """How many of ``steps`` padded columns a batch with rows up to ``longest`` needs.
 
-    Every inference layer ignores padding exactly, so the longest row would
-    do, but the width also covers the widest convolution window, which the
-    fallback for rows shorter than it reads, and is at least 16: a
-    convolution's GEMM over only a few output rows can take a BLAS
-    small-matrix kernel that sums its 600- or 800-long inner dimension in
-    another order (OpenBLAS on AVX-512 does so for width 8 at paper size).
+    Training cuts its batches by this rule as well as inference. Every
+    layer ignores padding exactly, so the longest row would do, but the
+    width also covers the widest convolution window, which the fallback for
+    rows shorter than it reads, and is at least 16: a convolution's product
+    over only a few output rows can take another BLAS kernel, which sums in
+    another order (OpenBLAS takes its matrix-vector kernel for one row, and
+    on AVX-512 it did so at a width of 8 at paper size).
     """
     layers = list(model.layers)
     for layer in layers:  # appending while iterating also walks nested branches
@@ -154,7 +155,13 @@ def train(
     Stops when the validation loss fails to improve for ``config.patience``
     consecutive epochs or at ``config.max_epochs``; the weights of the best
     validation epoch are restored before returning. Deterministic for a
-    fixed seed.
+    fixed seed, whatever the BLAS thread count.
+
+    Each batch is cut to the columns its longest row needs (see
+    ``_inference_width``), so the cost follows the batch's own lengths, not
+    the padded width. The cut changes no bit: every layer ignores padding
+    exactly, sums over positions take only the valid ones, and word dropout
+    draws its mask at the padded width.
     """
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -163,7 +170,7 @@ def train(
     stopper = EarlyStopper(config.patience)
     best_weights = None
     history: dict = {"train_loss": [], "val_loss": []}
-    n = len(train_data)
+    n, steps = train_data.X.shape
     epochs_run = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -172,9 +179,11 @@ def train(
         total = 0.0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
+            lengths = train_data.lengths[idx]
+            width = _inference_width(model, steps, int(lengths.max()))
             model.zero_grad()
             probs = model.forward(
-                train_data.X[idx], train_data.lengths[idx], train=True, rng=rng
+                train_data.X[idx, :width], lengths, train=True, rng=rng, steps=steps
             )
             loss, dprobs = bce_loss_grad(probs, train_data.y[idx])
             if not math.isfinite(loss):

@@ -476,7 +476,9 @@ VALIDATE = ["--validation-fraction", "0.34"]  # both splits of the 8 rows non-em
     ("predict", [], "threshold=abc", EXIT_RUNTIME),
     # a key naming no option of the subcommand is ignored: only train has --seed
     ("predict", [], "seed=3", EXIT_OK),
-    ("build-lexicon", [], "learnign_rate=5", EXIT_OK),
+    # a key naming no option of any subcommand is a usage error, as a misspelt
+    # flag is (the train case is at the end of the list)
+    ("build-lexicon", [], "learnign_rate=5", EXIT_USAGE),
     # so is a flag that takes no value: this input stays read as labelled
     ("preprocess", [], "unlabeled=true", EXIT_RUNTIME),
     # a threshold outside [0, 1] is a usage error from either source
@@ -505,6 +507,7 @@ VALIDATE = ["--validation-fraction", "0.34"]  # both splits of the 8 rows non-em
     ("train", ["--arch", "cnn", "--max-len", "4", *VALIDATE], "max_len=3", EXIT_OK),
     ("train", ["--arch", "cnn", *VALIDATE], "max_len=4", EXIT_OK),
     ("train", ["--arch", "blstm-att", *VALIDATE], "max_len=3", EXIT_OK),
+    ("train", ["--arch", "cnn"], "learnign_rate=5", EXIT_USAGE),
 ])
 def test_config_file_values(command, flags, config, code, train_tsv, embeddings_file,
                             untrained_model, tmp_path):
@@ -520,6 +523,15 @@ def test_config_file_values(command, flags, config, code, train_tsv, embeddings_
     cfg.write_text(config + "\n", encoding="utf-8")
     assert main([command, *argv, *flags, "--out", str(tmp_path / "out"),
                  "--config", str(cfg)]) == code
+
+
+def test_config_key_typo_names_the_file_and_the_key(train_tsv, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("k=3\nlearnign_rate=5\n", encoding="utf-8")
+    assert main(["build-lexicon", "--data", str(train_tsv), "--out", str(tmp_path / "l.txt"),
+                 "--config", str(cfg)]) == EXIT_USAGE
+    assert f"{cfg}: unknown key 'learnign_rate'" in capsys.readouterr().err
+    assert not (tmp_path / "l.txt").exists()
 
 
 HELP_FLAGS = {

@@ -16,7 +16,8 @@ from offlang.models import (
     ensemble_proba,
     label_for,
 )
-from offlang.nn import AdditiveAttention, Dense, ParallelConcat, predict_proba
+from offlang.nn import AdditiveAttention, Dense, ParallelConcat, bce_loss_grad, predict_proba
+from offlang.nn.training import _inference_width
 from offlang.preprocess import preprocess_pipeline
 
 
@@ -129,15 +130,45 @@ def test_probabilities_do_not_depend_on_the_rest_of_the_batch(builder):
         assert np.array_equal(predict_proba(model, X[rows], lengths[rows]), reference[rows]), size
 
 
+@pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
+def test_training_step_bytes_do_not_depend_on_the_cut(builder):
+    # paper dimensions and word dropout on: a batch cut to the inference
+    # width gives the loss and every parameter gradient of the padded batch
+    rng = np.random.default_rng(26)
+    model = paper_model(builder, rng, 10)
+    batches = [np.array([0, 1, 2, 3, 0, 2, 1, 3]),  # none reaches the widest window
+               np.array([0, 1, 3, 44, 9, 0, 17, 2]),
+               rng.integers(0, 90, size=32), rng.integers(0, 30, size=6),
+               np.array([0]), np.array([2]), np.array([131])]
+    for lengths in batches:
+        X = padded_rows(rng, lengths)
+        y = (rng.random(len(lengths)) < 0.5).astype(np.float32)
+        width = _inference_width(model, 200, int(lengths.max()))
+        runs = []
+        for cols in (200, width):
+            model.zero_grad()
+            probs = model.forward(X[:, :cols], lengths, train=True,
+                                  rng=np.random.default_rng(27), steps=200)
+            loss, dprobs = bce_loss_grad(probs, y)
+            model.backward(dprobs)
+            runs.append((np.float64(loss).view(np.uint64), probs.view(np.uint32),
+                         [p.grad.view(np.uint32).copy() for p in model.parameters()]))
+        (loss_pad, probs_pad, grads_pad), (loss_cut, probs_cut, grads_cut) = runs
+        assert width < 200 and loss_cut == loss_pad, (lengths, width)
+        assert np.array_equal(probs_cut, probs_pad), lengths
+        for p, pad, cut in zip(model.parameters(), grads_pad, grads_cut):
+            assert np.array_equal(cut, pad), (p.name, lengths)
+
+
 def test_inference_rows_bound_the_cells_of_a_forward(tiny_matrix, monkeypatch):
     model = build_cnn(tiny_matrix, filters=4, hidden=4, expected_dim=16, seed=0)
     embedding = model.layers[0]
     shapes = []
     forward = embedding.forward
 
-    def spy(indices, lengths, train=False, rng=None):
+    def spy(indices, lengths, train=False, rng=None, steps=None):
         shapes.append(indices.shape)
-        return forward(indices, lengths, train, rng)
+        return forward(indices, lengths, train, rng, steps)
 
     monkeypatch.setattr(embedding, "forward", spy)
     rng = np.random.default_rng(24)
@@ -165,9 +196,9 @@ def test_predict_proba_runs_rows_in_length_order(builder, monkeypatch):
     shapes = []
     forward = embedding.forward
 
-    def spy(indices, lengths, train=False, rng=None):
+    def spy(indices, lengths, train=False, rng=None, steps=None):
         shapes.append(indices.shape)
-        return forward(indices, lengths, train, rng)
+        return forward(indices, lengths, train, rng, steps)
 
     monkeypatch.setattr(embedding, "forward", spy)
     probs = predict_proba(model, X, lengths)
@@ -187,8 +218,11 @@ def test_attention_unchanged_at_inference_width():
         lengths = np.append(rng.integers(0, longest + 1, size=batch - 1), longest)
         x = rng.normal(size=(batch, 200, 128)).astype(np.float32)
         full, _ = attention.forward(x, lengths)
-        trimmed, _ = attention.forward(x[:, :width], lengths)
-        assert np.array_equal(trimmed, full), (longest, width, batch)
+        # the inference width itself puts the longest row's last steps at
+        # the end of the array, where BLAS kernels change
+        for cut in (width, max(longest, 16)):
+            trimmed, _ = attention.forward(x[:, :cut], lengths)
+            assert np.array_equal(trimmed, full), (longest, cut, batch)
 
 
 def test_predict_proba_trims_batches_to_their_longest_row(tiny_matrix, monkeypatch):
@@ -197,9 +231,9 @@ def test_predict_proba_trims_batches_to_their_longest_row(tiny_matrix, monkeypat
     seen = []
     forward = embedding.forward
 
-    def spy(indices, lengths, train=False, rng=None):
+    def spy(indices, lengths, train=False, rng=None, steps=None):
         seen.append(indices.shape[1])
-        return forward(indices, lengths, train, rng)
+        return forward(indices, lengths, train, rng, steps)
 
     monkeypatch.setattr(embedding, "forward", spy)
     X = np.ones((10, 200), dtype=np.int32)

@@ -227,11 +227,8 @@ def test_recurrent_output_independent_of_padding_amount(make):
     (y_short, dx_short, g_short), (y_long, dx_long, g_long) = runs
     assert np.array_equal(y_short, y_long[:, :5] if y_long.ndim == 3 else y_long)
     assert np.array_equal(dx_short, dx_long[:, :5])
-    # W is left out: the x.T @ dxp GEMM of its gradient is blocked by the
-    # padded width (ROADMAP open item 4)
     for name in g_short:
-        if not name.endswith("_W"):
-            assert np.array_equal(g_short[name], g_long[name]), name
+        assert np.array_equal(g_short[name], g_long[name]), name
 
 
 def count_steps(monkeypatch, cls):
@@ -336,7 +333,7 @@ def test_inference_forward_leaves_layer_state_unchanged(case):
     BiGRU(5, 3, rng=rng(3), dtype=np.float32),
 ], ids=["conv1d", "bilstm", "bigru"])
 def test_inference_forward_equals_train_forward_bit_for_bit(layer):
-    # inference skips the backward caches and, in Conv1D, works in row blocks
+    # inference skips the backward caches
     x = rng(4).normal(size=(19, 7, 5)).astype(np.float32)
     lengths = rng(5).integers(0, 8, size=19)
     y_train, len_train = layer.forward(x, lengths, train=True)
