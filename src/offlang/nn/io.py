@@ -5,10 +5,13 @@ header length, the UTF-8 JSON header, then the raw parameter arrays
 concatenated in declaration order as little-endian 32-bit floats. The
 header records the architecture tag, layer configs, parameter shapes, the
 sequence length, and the vocabulary, so a write/read round trip is exact.
+The layer configs, their types, keys and parameter shapes, are defined in
+`layers.py`; this module holds only the container.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -23,63 +26,6 @@ FORMAT_VERSION = 1
 
 class ModelFormatError(ValueError):
     """The file is not a valid model container."""
-
-
-def _build_layer(config: dict, dtype=np.float32):
-    kind = config.get("type")
-    if kind == "embedding":
-        matrix = np.zeros((config["vocab_size"], config["dim"]), dtype=dtype)
-        return L.Embedding(matrix, config["word_dropout"])
-    if kind == "dropout":
-        return L.Dropout(config["rate"])
-    if kind == "dense":
-        return L.Dense(config["in_dim"], config["units"], config["activation"], rng=None, dtype=dtype)
-    if kind == "conv1d":
-        return L.Conv1D(config["in_dim"], config["filters"], config["width"], rng=None, dtype=dtype)
-    if kind == "max_over_time":
-        return L.MaxOverTime()
-    if kind == "avg_over_time":
-        return L.AvgOverTime()
-    if kind == "attention":
-        return L.AdditiveAttention(config["in_dim"], config["units"], rng=None, dtype=dtype)
-    if kind == "bilstm":
-        return L.BiLSTM(
-            config["in_dim"], config["units"], config["dropout"], config["return_sequences"],
-            rng=None, dtype=dtype,
-        )
-    if kind == "bigru":
-        return L.BiGRU(config["in_dim"], config["units"], config["dropout"], rng=None, dtype=dtype)
-    if kind == "parallel":
-        return L.ParallelConcat(
-            [[_build_layer(s, dtype) for s in branch] for branch in config["branches"]]
-        )
-    raise ModelFormatError(f"unknown layer type in model file: {kind!r}")
-
-
-def _parameter_count(config: dict) -> int:
-    """Number of floats the layer ``_build_layer(config)`` holds, found
-    without allocating it, so a header cannot make the loader allocate
-    more than the file could fill. A negative size counts as 0; building
-    the layer rejects it."""
-
-    def size(key):
-        return max(int(config[key]), 0)
-
-    kind = config.get("type")
-    if kind == "embedding":
-        return size("vocab_size") * size("dim")
-    if kind == "dense":
-        return (size("in_dim") + 1) * size("units")
-    if kind == "conv1d":
-        return (size("width") * size("in_dim") + 1) * size("filters")
-    if kind == "attention":  # W, b and the score vector v
-        return (size("in_dim") + 2) * size("units")
-    if kind in ("bilstm", "bigru"):  # W, U and b per gate block, for both directions
-        units, gates = size("units"), (L.BiLSTM if kind == "bilstm" else L.BiGRU).gates
-        return 2 * gates * units * (size("in_dim") + units + 1)
-    if kind == "parallel":
-        return sum(_parameter_count(c) for branch in config["branches"] for c in branch)
-    return 0
 
 
 def save_model(path, model: L.ModelGraph, vocabulary: dict[str, int], max_len: int):
@@ -131,24 +77,29 @@ def load_model(path):
             )
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-            needed = 4 * sum(_parameter_count(c) for c in header["layers"])
+            configs = header["layers"]
+            shapes = [s for c in configs for s in L.layer_class(c).parameter_shapes(c)]
+            # sized before anything is allocated, so a header cannot make the loader
+            # allocate more than the file fills; building rejects a negative size
+            needed = 4 * sum(math.prod(max(int(n), 0) for n in shape) for shape in shapes)
             if needed > remaining - header_len:
                 raise ModelFormatError(
                     f"{path}: truncated parameter data: the layers need {needed} bytes,"
                     f" {remaining - header_len} follow the header"
                 )
-            model = L.ModelGraph(
-                header["architecture"], [_build_layer(c) for c in header["layers"]]
-            )
+            model = L.ModelGraph(header["architecture"], [L.build_layer(c) for c in configs])
             declared = [(str(m["name"]), tuple(m["shape"])) for m in header["parameters"]]
             vocabulary = {str(k): int(v) for k, v in header["vocabulary"].items()}
             max_len = int(header["max_len"])
+            if max_len < 1:
+                raise ModelFormatError(f"{path}: max_len {max_len} is below 1")
         except ModelFormatError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
                 RecursionError) as exc:
-            # ValueError covers undecodable UTF-8, invalid JSON and bad layer values,
-            # OverflowError an Infinity size or index, RecursionError deep nesting
+            # ValueError covers undecodable UTF-8, invalid JSON, unknown layer types and
+            # bad layer values, OverflowError an Infinity size or index, RecursionError
+            # deep nesting
             raise ModelFormatError(f"{path}: bad header: {exc!r}") from None
         params = model.parameters()
         if len(declared) != len(params):

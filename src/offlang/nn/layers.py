@@ -21,7 +21,10 @@ Conventions:
   * weight-gradient and bias sums over positions (`position_sums`) take only
     the valid positions, in (row, step) order, in fixed chunks added in
     order: trained weights depend neither on the padded width of a batch nor
-    on the BLAS thread count.
+    on the BLAS thread count;
+  * each layer class states its `type`, its config `keys` and its
+    `parameter_shapes`, and the loader builds from that one table
+    (`LAYER_TYPES`, `build_layer`).
 """
 from __future__ import annotations
 
@@ -113,6 +116,13 @@ def dropout_mask(rng, shape, rate, dtype):
 
 
 class Layer:
+    """Base of every layer. ``type`` names the layer in a saved config, and
+    ``keys`` lists its other config keys in saved order: the attributes that
+    ``config()`` writes, and the constructor arguments of ``from_config``."""
+
+    type: str
+    keys: tuple[str, ...] = ()
+
     def __init__(self):
         self._cache = None
 
@@ -126,7 +136,17 @@ class Layer:
         raise NotImplementedError
 
     def config(self) -> dict:
-        raise NotImplementedError
+        return {"type": self.type, **{key: getattr(self, key) for key in self.keys}}
+
+    @classmethod
+    def from_config(cls, config: dict) -> Layer:
+        """The layer ``config`` describes, with zero parameters for a loader to fill."""
+        return cls(*(config[key] for key in cls.keys))
+
+    @classmethod
+    def parameter_shapes(cls, config: dict) -> list[tuple]:
+        """Shapes of ``from_config(config).parameters()``, found without allocating."""
+        return []
 
     def _take_cache(self):
         if self._cache is None:
@@ -140,6 +160,8 @@ class Layer:
 class Embedding(Layer):
     """Trainable lookup table with word-level dropout on its output."""
 
+    type, keys = "embedding", ("vocab_size", "dim", "word_dropout")
+
     def __init__(self, matrix, word_dropout_rate=0.0):
         super().__init__()
         matrix = np.asarray(matrix)
@@ -148,7 +170,17 @@ class Embedding(Layer):
         if not 0.0 <= word_dropout_rate < 1.0:
             raise ValueError("word dropout rate must lie in [0, 1)")
         self.weights = Parameter("embedding", matrix)
-        self.word_dropout_rate = float(word_dropout_rate)
+        self.vocab_size, self.dim = matrix.shape
+        self.word_dropout = float(word_dropout_rate)
+
+    @classmethod
+    def from_config(cls, config):
+        (shape,) = cls.parameter_shapes(config)
+        return cls(np.zeros(shape, dtype=np.float32), config["word_dropout"])
+
+    @classmethod
+    def parameter_shapes(cls, config):
+        return [(config["vocab_size"], config["dim"])]
 
     def parameters(self):
         return [self.weights]
@@ -163,10 +195,10 @@ class Embedding(Layer):
             raise ShapeError("token index out of vocabulary range")
         out = self.weights.value[indices]
         mask = None
-        if train and self.word_dropout_rate > 0.0:
+        if train and self.word_dropout > 0.0:
             batch, width = indices.shape
             shape = (batch, width if steps is None else steps)
-            mask = dropout_mask(rng, shape, self.word_dropout_rate, out.dtype)[:, :width]
+            mask = dropout_mask(rng, shape, self.word_dropout, out.dtype)[:, :width]
             out = out * mask[..., None]
         if train:
             self._cache = (indices, mask)
@@ -179,17 +211,11 @@ class Embedding(Layer):
         np.add.at(self.weights.grad, indices, grad)
         return None  # integer input has no gradient
 
-    def config(self):
-        return {
-            "type": "embedding",
-            "vocab_size": int(self.weights.value.shape[0]),
-            "dim": int(self.weights.value.shape[1]),
-            "word_dropout": self.word_dropout_rate,
-        }
-
 
 class Dropout(Layer):
     """Standard inverted dropout on every element."""
+
+    type, keys = "dropout", ("rate",)
 
     def __init__(self, rate):
         super().__init__()
@@ -211,9 +237,6 @@ class Dropout(Layer):
         (mask,) = self._take_cache()
         return grad if mask is None else grad * mask
 
-    def config(self):
-        return {"type": "dropout", "rate": self.rate}
-
 
 class Dense(Layer):
     """y = activation(x @ W + b); activation in {identity, relu, sigmoid}.
@@ -223,6 +246,7 @@ class Dense(Layer):
     """
 
     SIGMOID_EPS = 1e-7
+    type, keys = "dense", ("in_dim", "units", "activation")
 
     def __init__(self, in_dim, units, activation="identity", rng=None, dtype=np.float32):
         super().__init__()
@@ -235,6 +259,10 @@ class Dense(Layer):
             "dense_W", glorot_uniform(rng, (in_dim, units), in_dim, units, dtype)
         )
         self.bias = Parameter("dense_b", np.zeros(units, dtype=dtype))
+
+    @classmethod
+    def parameter_shapes(cls, config):
+        return [(config["in_dim"], config["units"]), (config["units"],)]
 
     def parameters(self):
         return [self.weights, self.bias]
@@ -274,14 +302,6 @@ class Dense(Layer):
         self.bias.grad += flat_dz.sum(axis=0)
         return dz @ self.weights.value.T
 
-    def config(self):
-        return {
-            "type": "dense",
-            "in_dim": self.in_dim,
-            "units": self.units,
-            "activation": self.activation,
-        }
-
 
 class Conv1D(Layer):
     """Valid 1-D convolution over time with a rectifier activation.
@@ -292,6 +312,8 @@ class Conv1D(Layer):
     at the other positions are 0, except at position 0, which pooling's
     fallback reads for a row too short for one window.
     """
+
+    type, keys = "conv1d", ("in_dim", "filters", "width")
 
     def __init__(self, in_dim, filters, width, rng=None, dtype=np.float32):
         super().__init__()
@@ -304,6 +326,10 @@ class Conv1D(Layer):
             glorot_uniform(rng, (self.width, self.in_dim, self.filters), fan_in, filters, dtype),
         )
         self.bias = Parameter("conv_b", np.zeros(self.filters, dtype=dtype))
+
+    @classmethod
+    def parameter_shapes(cls, config):
+        return [(config["width"], config["in_dim"], config["filters"]), (config["filters"],)]
 
     def parameters(self):
         return [self.weights, self.bias]
@@ -350,17 +376,11 @@ class Conv1D(Layer):
             dx[rows, starts + i] += dcols[:, i * self.in_dim : (i + 1) * self.in_dim]
         return dx
 
-    def config(self):
-        return {
-            "type": "conv1d",
-            "in_dim": self.in_dim,
-            "filters": self.filters,
-            "width": self.width,
-        }
-
 
 class MaxOverTime(Layer):
     """Elementwise max over valid time positions (first max wins ties)."""
+
+    type = "max_over_time"
 
     def forward(self, x, lengths, train=False, rng=None):
         batch, steps, dim = x.shape
@@ -383,12 +403,11 @@ class MaxOverTime(Layer):
         np.add.at(dx, (rows, arg, cols), grad)
         return dx
 
-    def config(self):
-        return {"type": "max_over_time"}
-
 
 class AvgOverTime(Layer):
     """Elementwise mean over valid time positions."""
+
+    type = "avg_over_time"
 
     def forward(self, x, lengths, train=False, rng=None):
         batch, steps, dim = x.shape
@@ -403,9 +422,6 @@ class AvgOverTime(Layer):
         valid, counts, x_shape = self._take_cache()
         return grad[:, None, :] * valid[:, :, None] / counts[:, None, None]
 
-    def config(self):
-        return {"type": "avg_over_time"}
-
 
 class AdditiveAttention(Layer):
     """Feed-forward scored attention pooling over a sequence.
@@ -414,6 +430,8 @@ class AdditiveAttention(Layer):
     positions (padding gets exactly zero weight) and the output is the
     weighted sum of the inputs.
     """
+
+    type, keys = "attention", ("in_dim", "units")
 
     def __init__(self, in_dim, units, rng=None, dtype=np.float32):
         super().__init__()
@@ -424,6 +442,10 @@ class AdditiveAttention(Layer):
         )
         self.bias = Parameter("attn_b", np.zeros(units, dtype=dtype))
         self.score = Parameter("attn_v", glorot_uniform(rng, (units,), units, 1, dtype))
+
+    @classmethod
+    def parameter_shapes(cls, config):
+        return [(config["in_dim"], config["units"]), (config["units"],), (config["units"],)]
 
     def parameters(self):
         return [self.weights, self.bias, self.score]
@@ -463,9 +485,6 @@ class AdditiveAttention(Layer):
         self.bias.grad += db
         dx += dpre @ self.weights.value.T
         return dx
-
-    def config(self):
-        return {"type": "attention", "in_dim": self.in_dim, "units": self.units}
 
 
 def _lstm_step(xp_t, state, U):
@@ -534,10 +553,10 @@ def _gru_step_backward(d_new, saved, U, dU):
 class Bidirectional(Layer):
     """A recurrent cell run forward and backward in time, states concatenated.
 
-    Subclasses give the cell: ``prefix`` (parameter names ``<prefix>_fw_W``
-    ... and config type ``bi<prefix>``), ``gates`` (gate blocks per weight
-    matrix), ``states`` (state arrays, the output state first), ``saved``
-    (per-step arrays the backward pass reads), ``initial_bias``, and the
+    Subclasses give the cell: ``type``, ``prefix`` (parameter names
+    ``<prefix>_fw_W`` ...), ``gates`` (gate blocks per weight matrix),
+    ``states`` (state arrays, the output state first), ``saved`` (per-step
+    arrays the backward pass reads), ``initial_bias``, and the
     gate math: ``step(xp_t, state, U)`` returns the new state and the saved
     arrays, and ``step_backward(d_new, saved, U, dU)`` returns the gradient
     of the gate pre-activations and of the previous state, adding into
@@ -559,6 +578,7 @@ class Bidirectional(Layer):
     (B, L, 2u) output or the final states (B, 2u).
     """
 
+    keys = ("in_dim", "units", "dropout")
     prefix: str
     gates: int
     states: int
@@ -583,6 +603,12 @@ class Bidirectional(Layer):
                 Parameter(f"{self.prefix}_{tag}_U", U),
                 Parameter(f"{self.prefix}_{tag}_b", self.initial_bias(dtype)),
             )
+
+    @classmethod
+    def parameter_shapes(cls, config):
+        in_dim, units = config["in_dim"], config["units"]
+        width = cls.gates * units
+        return [(in_dim, width), (units, width), (width,)] * 2  # fw, then bw
 
     def initial_bias(self, dtype):
         return np.zeros(self.gates * self.units, dtype=dtype)
@@ -675,18 +701,11 @@ class Bidirectional(Layer):
             dx += dxi if masks[tag] is None else dxi * masks[tag]
         return dx
 
-    def config(self):
-        return {
-            "type": f"bi{self.prefix}",
-            "in_dim": self.in_dim,
-            "units": self.units,
-            "dropout": self.dropout,
-        }
-
 
 class BiLSTM(Bidirectional):
     """Bidirectional LSTM; forget-gate bias starts at 1."""
 
+    type, keys = "bilstm", (*Bidirectional.keys, "return_sequences")
     prefix, gates, states, saved = "lstm", 4, 2, 7
     step = staticmethod(_lstm_step)
     step_backward = staticmethod(_lstm_step_backward)
@@ -696,13 +715,11 @@ class BiLSTM(Bidirectional):
         b[self.units : 2 * self.units] = 1.0
         return b
 
-    def config(self):
-        return {**super().config(), "return_sequences": self.return_sequences}
-
 
 class BiGRU(Bidirectional):
     """Bidirectional GRU returning the full output sequence."""
 
+    type = "bigru"
     prefix, gates, states, saved = "gru", 3, 1, 4
     step = staticmethod(_gru_step)
     step_backward = staticmethod(_gru_step_backward)
@@ -713,6 +730,8 @@ class BiGRU(Bidirectional):
 
 class ParallelConcat(Layer):
     """Runs branches on the same input and concatenates their features."""
+
+    type, keys = "parallel", ("branches",)
 
     def __init__(self, branches):
         super().__init__()
@@ -750,10 +769,36 @@ class ParallelConcat(Layer):
         return dx
 
     def config(self):
-        return {
-            "type": "parallel",
-            "branches": [[layer.config() for layer in branch] for branch in self.branches],
-        }
+        branches = [[layer.config() for layer in branch] for branch in self.branches]
+        return {"type": self.type, "branches": branches}
+
+    @classmethod
+    def from_config(cls, config):
+        return cls([[build_layer(c) for c in branch] for branch in config["branches"]])
+
+    @classmethod
+    def parameter_shapes(cls, config):
+        return [shape for branch in config["branches"] for c in branch
+                for shape in layer_class(c).parameter_shapes(c)]
+
+
+# The one table of saved layer types: every layer class, by its ``type``.
+LAYER_TYPES = {cls.type: cls for cls in (Embedding, Dropout, Dense, Conv1D, MaxOverTime,
+                                         AvgOverTime, AdditiveAttention, BiLSTM, BiGRU,
+                                         ParallelConcat)}
+
+
+def layer_class(config: dict) -> type[Layer]:
+    """The class of the layer a ``Layer.config()`` dict describes."""
+    kind = config.get("type")
+    if kind not in LAYER_TYPES:
+        raise ValueError(f"unknown layer type: {kind!r}")
+    return LAYER_TYPES[kind]
+
+
+def build_layer(config: dict) -> Layer:
+    """The layer a ``Layer.config()`` dict describes, its parameters zero."""
+    return layer_class(config).from_config(config)
 
 
 class ModelGraph:

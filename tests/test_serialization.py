@@ -6,7 +6,7 @@ import pytest
 
 from offlang.models import build_blstm_attention, build_blstm_bgru, build_cnn
 from offlang.nn import ModelFormatError, load_model, predict_proba, save_model
-from offlang.nn.io import _parameter_count
+from offlang.nn.layers import layer_class
 
 
 def small_models(tiny_matrix):
@@ -69,7 +69,9 @@ def test_truncated_file_rejected(tmp_path, tiny_matrix):
 def test_parameter_count_of_each_layer_config(tiny_matrix, index):
     model = small_models(tiny_matrix)[index]
     for layer in model.layers:
-        assert _parameter_count(layer.config()) == sum(p.value.size for p in layer.parameters())
+        config = layer.config()
+        shapes = layer_class(config).parameter_shapes(config)
+        assert shapes == [p.value.shape for p in layer.parameters()]
 
 
 def _container(header: bytes, declared_len: int | None = None) -> bytes:
