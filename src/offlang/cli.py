@@ -60,8 +60,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read config file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(D.not_utf8(path, exc)) from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

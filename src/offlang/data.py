@@ -30,6 +30,22 @@ class DataFormatError(ValueError):
     """A dataset or support file violates its declared format."""
 
 
+def not_utf8(path: Path, exc: UnicodeDecodeError) -> str:
+    """``path:line: not UTF-8 (reason)`` for a text file that failed to decode.
+
+    Text-mode reading decodes a block of lines at a time, so the line an
+    error surfaces on is not the line that holds the bad bytes: this finds
+    the first 1-based line that is not UTF-8.
+    """
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return f"{path}:{lineno}: not UTF-8 ({exc.reason})"
+    return f"{path}: not UTF-8 ({exc.reason})"  # the file changed while it was read
+
+
 @dataclass(frozen=True)
 class DatasetRecord:
     """One labelled tweet. ``label_b`` is only meaningful for offensive tweets."""
@@ -117,39 +133,42 @@ def load_olid(path: str | Path, has_labels: bool = True, split_tag: str = "train
     A ``NULL`` (or empty) label cell maps to an absent label.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise DataFormatError(f"{path}: empty file, expected a header row")
-        header = header_line.rstrip("\r\n").split("\t")
-        required = ["id", "tweet"] + (["subtask_a", "subtask_b"] if has_labels else [])
-        try:
-            cols = {name: header.index(name) for name in required}
-        except ValueError:
-            missing = [name for name in required if name not in header]
-            raise DataFormatError(f"{path}: header is missing column(s) {missing}") from None
-
-        records = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(header):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(header)} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            label_a = label_b = None
-            if has_labels:
-                label_a = _parse_label(fields[cols["subtask_a"]], LABELS_A, path, lineno)
-                label_b = _parse_label(fields[cols["subtask_b"]], LABELS_B, path, lineno)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header_line = fh.readline()
+            if not header_line:
+                raise DataFormatError(f"{path}: empty file, expected a header row")
+            header = header_line.rstrip("\r\n").split("\t")
+            required = ["id", "tweet"] + (["subtask_a", "subtask_b"] if has_labels else [])
             try:
-                records.append(
-                    DatasetRecord(fields[cols["id"]], fields[cols["tweet"]], label_a, label_b)
-                )
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+                cols = {name: header.index(name) for name in required}
+            except ValueError:
+                missing = [name for name in required if name not in header]
+                raise DataFormatError(f"{path}: header is missing column(s) {missing}") from None
+
+            records = []
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != len(header):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {len(header)} tab-separated fields, "
+                        f"got {len(fields)}"
+                    )
+                label_a = label_b = None
+                if has_labels:
+                    label_a = _parse_label(fields[cols["subtask_a"]], LABELS_A, path, lineno)
+                    label_b = _parse_label(fields[cols["subtask_b"]], LABELS_B, path, lineno)
+                try:
+                    records.append(
+                        DatasetRecord(fields[cols["id"]], fields[cols["tweet"]], label_a, label_b)
+                    )
+                except DataFormatError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(not_utf8(path, exc)) from None
     return Dataset(tuple(records), split_tag)
 
 

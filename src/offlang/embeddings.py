@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import not_utf8
+
 logger = logging.getLogger(__name__)
 
 PAD_INDEX = 0
@@ -86,29 +88,12 @@ def load_embeddings(
                 if wanted and word not in vectors:
                     vectors[word] = vec
         except UnicodeDecodeError as exc:
-            raise EmbeddingFormatError(
-                f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})"
-            ) from None
+            raise EmbeddingFormatError(not_utf8(path, exc)) from None
     if not any_valid:
         raise EmbeddingFormatError(f"{path}: no valid {expected_dim}-dimensional vectors found")
     if skipped:
         logger.warning("%s: skipped %d malformed line(s)", path, skipped)
     return EmbeddingTable(expected_dim, vectors, skipped)
-
-
-def _undecodable_line(path: Path) -> int:
-    """1-based number of the first line of ``path`` that is not UTF-8.
-
-    Text-mode reading decodes a block of lines at a time, so the line an
-    error surfaces on is not the line that holds the bad bytes.
-    """
-    with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return 0  # every line decodes now: the file changed while it was read
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ Conventions:
     `Bidirectional` does this for both the LSTM and the GRU cell, and stops
     at the batch's longest row, since the steps after it are padding in
     every row;
+  * word dropout draws its mask at the shape of the indices the `Embedding`
+    gets, so a training batch cut to its longest row draws no mask for
+    columns that nothing reads;
   * `forward(..., train=True)` caches activations for one `backward` call;
     inference-mode forwards cache nothing and are pure;
   * sums over time add one step after another, so the zeros of padding come
@@ -185,20 +188,14 @@ class Embedding(Layer):
     def parameters(self):
         return [self.weights]
 
-    def forward(self, indices, lengths, train=False, rng=None, steps=None):
-        """``steps`` is the padded width a training batch was cut from (by
-        default its own width): word dropout draws its mask at that width and
-        keeps the batch's columns, so the random stream and the mask of each
-        token do not depend on the cut."""
+    def forward(self, indices, lengths, train=False, rng=None):
         indices = np.asarray(indices)
         if indices.min(initial=0) < 0 or indices.max(initial=0) >= self.weights.value.shape[0]:
             raise ShapeError("token index out of vocabulary range")
         out = self.weights.value[indices]
         mask = None
         if train and self.word_dropout > 0.0:
-            batch, width = indices.shape
-            shape = (batch, width if steps is None else steps)
-            mask = dropout_mask(rng, shape, self.word_dropout, out.dtype)[:, :width]
+            mask = dropout_mask(rng, indices.shape, self.word_dropout, out.dtype)
             out = out * mask[..., None]
         if train:
             self._cache = (indices, mask)
@@ -815,22 +812,15 @@ class ModelGraph:
         for p in self.parameters():
             p.zero_grad()
 
-    def forward(self, indices, lengths, train=False, rng=None, steps=None) -> np.ndarray:
-        """Probabilities in (0, 1), one per row of ``indices``.
-
-        ``steps`` is the padded width a training batch was cut from; the
-        ``Embedding`` draws its word-dropout mask at that width.
-        """
+    def forward(self, indices, lengths, train=False, rng=None) -> np.ndarray:
+        """Probabilities in (0, 1), one per row of ``indices``."""
         indices = np.asarray(indices)
         if indices.ndim != 2 or 0 in indices.shape:
             raise ShapeError(f"expected non-empty (batch, steps) indices, got shape {indices.shape}")
         x = indices
         for i, layer in enumerate(self.layers):
             try:
-                if isinstance(layer, Embedding):
-                    x, lengths = layer.forward(x, lengths, train, rng, steps)
-                else:
-                    x, lengths = layer.forward(x, lengths, train, rng)
+                x, lengths = layer.forward(x, lengths, train, rng)
             except ShapeError as exc:
                 raise ShapeError(f"layer {i} ({type(layer).__name__}): {exc}") from None
         if x.ndim != 2 or x.shape[1] != 1:

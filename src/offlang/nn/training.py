@@ -159,9 +159,11 @@ def train(
 
     Each batch is cut to the columns its longest row needs (see
     ``_inference_width``), so the cost follows the batch's own lengths, not
-    the padded width. The cut changes no bit: every layer ignores padding
-    exactly, sums over positions take only the valid ones, and word dropout
-    draws its mask at the padded width.
+    the padded width. Every layer ignores padding exactly, sums over
+    positions take only the valid ones, and word dropout draws its mask at
+    the cut batch's own width. So trained weights depend neither on the
+    padded width nor on ``max_len`` while no row is truncated and the padded
+    width is at least the width rule's floor of 16 columns.
     """
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -182,9 +184,7 @@ def train(
             lengths = train_data.lengths[idx]
             width = _inference_width(model, steps, int(lengths.max()))
             model.zero_grad()
-            probs = model.forward(
-                train_data.X[idx, :width], lengths, train=True, rng=rng, steps=steps
-            )
+            probs = model.forward(train_data.X[idx, :width], lengths, train=True, rng=rng)
             loss, dprobs = bce_loss_grad(probs, train_data.y[idx])
             if not math.isfinite(loss):
                 raise TrainingError(

@@ -23,6 +23,14 @@ _LOG10 = math.log(10.0)
 MEMO_LIMIT = 65_536
 
 
+def _entry_error(word: str, count: int) -> str | None:
+    if word != word.lower():
+        return f"dictionary words must be lowercase: {word!r}"
+    if count <= 0:
+        return f"dictionary counts must be positive: {word!r} -> {count}"
+    return None
+
+
 @dataclass(frozen=True)
 class SegmentationDictionary:
     """Word frequency counts backing the unigram model.
@@ -41,16 +49,18 @@ class SegmentationDictionary:
     def __post_init__(self):
         counts = dict(self.counts)
         for word, count in counts.items():
-            if word != word.lower():
-                raise ValueError(f"dictionary words must be lowercase: {word!r}")
-            if count <= 0:
-                raise ValueError(f"dictionary counts must be positive: {word!r} -> {count}")
+            error = _entry_error(word, count)
+            if error:
+                raise ValueError(error)
         object.__setattr__(self, "counts", MappingProxyType(counts))
         object.__setattr__(self, "total", sum(counts.values()))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SegmentationDictionary":
-        """Read ``word<TAB>count`` lines (UTF-8, blank lines skipped)."""
+        """Read ``word<TAB>count`` lines (UTF-8, blank lines skipped).
+
+        A malformed line raises ``ValueError`` naming ``path:lineno``.
+        """
         counts: dict[str, int] = {}
         with Path(path).open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -60,7 +70,15 @@ class SegmentationDictionary:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count'")
-                counts[parts[0]] = counts.get(parts[0], 0) + int(parts[1])
+                word, count = parts
+                try:
+                    count = int(count)
+                    error = _entry_error(word, count)
+                except ValueError:
+                    error = f"count {count!r} is not an integer"
+                if error:
+                    raise ValueError(f"{path}:{lineno}: {error}")
+                counts[word] = counts.get(word, 0) + count
         return cls(counts)
 
     def log_prob(self, chunk: str) -> float:

@@ -79,6 +79,23 @@ def test_preprocess_missing_file(tmp_path):
     assert main(["preprocess", "--data", str(tmp_path / "nope.tsv"), "--out", str(out)]) == EXIT_USAGE
 
 
+def test_preprocess_non_utf8_data_names_the_line(tmp_path, capsys):
+    data = tmp_path / "bad.tsv"
+    data.write_bytes(b"id\ttweet\tsubtask_a\tsubtask_b\n1\tcaf\xe9\tNOT\tNULL\n")
+    assert main(["preprocess", "--data", str(data), "--out", str(tmp_path / "o.txt")]) \
+        == EXIT_RUNTIME
+    assert f"error: {data}:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_seg_dict_bad_count_names_the_line(tmp_path, capsys):
+    data = write_olid(tmp_path / "d.tsv", [("1", "#abc", "NOT", None)])
+    seg = tmp_path / "seg.tsv"
+    seg.write_text("xyz\t4\nabc\tx1\n", encoding="utf-8")
+    assert main(["preprocess", "--data", str(data), "--out", str(tmp_path / "o.txt"),
+                 "--seg-dict", str(seg)]) == EXIT_RUNTIME
+    assert f"error: {seg}:2: count 'x1' is not an integer" in capsys.readouterr().err
+
+
 def test_unknown_arch_is_usage_error(train_tsv, embeddings_file, tmp_path):
     code = main([
         "train", "--arch", "transformer", "--data", str(train_tsv),
@@ -531,6 +548,18 @@ def test_config_key_typo_names_the_file_and_the_key(train_tsv, tmp_path, capsys)
     assert main(["build-lexicon", "--data", str(train_tsv), "--out", str(tmp_path / "l.txt"),
                  "--config", str(cfg)]) == EXIT_USAGE
     assert f"{cfg}: unknown key 'learnign_rate'" in capsys.readouterr().err
+    assert not (tmp_path / "l.txt").exists()
+
+
+def test_unreadable_config_file_is_a_usage_error(train_tsv, tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"k=3\n# caf\xe9\n")
+    for cfg, message in ((missing, f"{missing}: cannot read config file: No such file"),
+                         (latin, f"{latin}:2: not UTF-8")):
+        assert main(["build-lexicon", "--data", str(train_tsv), "--out",
+                     str(tmp_path / "l.txt"), "--config", str(cfg)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "l.txt").exists()
 
 

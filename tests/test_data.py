@@ -41,6 +41,17 @@ def test_load_rejects_wrong_column_count(tmp_path):
         load_olid(path)
 
 
+@pytest.mark.parametrize("bad_line", [2, 900])
+def test_load_rejects_non_utf8_naming_the_line(tmp_path, bad_line):
+    # text mode decodes many lines at once; the message names the bad one
+    path = tmp_path / "d.tsv"
+    good = "1\tan ordinary tweet\tNOT\tNULL\n".encode()
+    rows = good * (bad_line - 2) + "2\tcaf\xe9 au lait\tNOT\tNULL\n".encode("latin-1") + good
+    path.write_bytes(b"id\ttweet\tsubtask_a\tsubtask_b\n" + rows)
+    with pytest.raises(DataFormatError, match=f"d.tsv:{bad_line}: not UTF-8"):
+        load_olid(path)
+
+
 def test_load_unlabeled(tmp_path):
     path = write_olid(tmp_path / "d.tsv", [("1", "hello"), ("2", "there")], has_labels=False)
     ds = load_olid(path, has_labels=False)

@@ -93,6 +93,18 @@ def test_dictionary_from_file_and_merge(tmp_path):
     assert d.total == 10
 
 
+@pytest.mark.parametrize("line, message", [
+    ("abc\tx1", "count 'x1' is not an integer"),
+    ("abc\t0", "dictionary counts must be positive: 'abc' -> 0"),
+    ("ABC\t2", "dictionary words must be lowercase: 'ABC'"),
+])
+def test_dictionary_file_errors_name_the_line(tmp_path, line, message):
+    path = tmp_path / "dict.tsv"
+    path.write_text(f"alpha\t5\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"dict.tsv:3: {message}"):
+        SegmentationDictionary.from_file(path)
+
+
 def fresh_split(tag, counts):
     return segment_hashtag(tag, SegmentationDictionary(counts))
 

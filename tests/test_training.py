@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import separable_toy
-from offlang.models import build_cnn
+from offlang.models import build_blstm_attention, build_blstm_bgru, build_cnn
 from offlang.nn import (
     Adam,
     Dense,
@@ -104,6 +104,25 @@ def test_train_deterministic(tiny_matrix, toy_data):
         return [w.copy() for w in model.get_weights()]
 
     for a, b in zip(run(), run()):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("builder", [build_cnn, build_blstm_attention, build_blstm_bgru])
+def test_trained_bytes_do_not_depend_on_the_padded_width(tiny_matrix, builder):
+    # word dropout on: the same rows padded to 200 and to 256 columns train
+    # to the same weights and history
+    data = separable_toy(seed=3, n=40, steps=60)
+    runs = []
+    for steps in (200, 256):
+        X = np.pad(data.X, ((0, 0), (0, steps - 60)))
+        padded = EncodedDataset(X, data.lengths, data.y)
+        model = builder(tiny_matrix, expected_dim=16, seed=4)
+        assert model.layers[0].word_dropout > 0
+        history = train(model, padded, padded, TrainConfig(max_epochs=2, seed=6))
+        runs.append((history, [w.view(np.uint32) for w in model.get_weights()]))
+    (history_200, weights_200), (history_256, weights_256) = runs
+    assert history_256 == history_200
+    for a, b in zip(weights_200, weights_256, strict=True):
         assert np.array_equal(a, b)
 
 
