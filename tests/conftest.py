@@ -19,6 +19,26 @@ def write_olid(path, rows, has_labels=True):
     return path
 
 
+def write_small_paper_inputs(root):
+    """A 42-row labelled TSV and 200-d vectors for its 300 words, in ``root``.
+
+    21 rows per class: the default 0.1 validation fraction keeps 2 of each,
+    so 38 rows train, in batches of 32 and 6. Returns (data, vectors).
+    """
+    rng = np.random.default_rng(5)
+    words = sorted({"".join(rng.choice(list("abcdefghijklmnoprstuvw"), size=int(n)))
+                    for n in rng.integers(4, 9, size=300)})
+    lengths = np.concatenate([[1, 2, 3], rng.integers(4, 30, size=35), [45, 60, 80, 120]])
+    rows = [(str(i), " ".join(rng.choice(words, size=int(n))), "OFF" if i % 2 else "NOT", None)
+            for i, n in enumerate(lengths)]
+    data = write_olid(root / "train.tsv", rows)
+    vectors = rng.uniform(-0.5, 0.5, size=(len(words), 200))
+    lines = [f"{w} " + " ".join(f"{v:.4f}" for v in row) for w, row in zip(words, vectors)]
+    embeddings = root / "vectors.txt"
+    embeddings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data, embeddings
+
+
 def separable_toy(seed=0, n=32, steps=12, vocab=20, signal=2):
     """Binary-separable synthetic set: label 1 rows contain the signal token."""
     rng = np.random.default_rng(seed)

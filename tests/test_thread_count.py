@@ -12,10 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import write_olid
+from conftest import write_small_paper_inputs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,20 +26,7 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("threads")
-    rng = np.random.default_rng(5)
-    words = sorted({"".join(rng.choice(list("abcdefghijklmnoprstuvw"), size=int(n)))
-                    for n in rng.integers(4, 9, size=300)})
-    # 21 rows per class: the default 0.1 validation fraction keeps 2 of each,
-    # so 38 rows train, in batches of 32 and 6
-    lengths = np.concatenate([[1, 2, 3], rng.integers(4, 30, size=35), [45, 60, 80, 120]])
-    rows = [(str(i), " ".join(rng.choice(words, size=int(n))), "OFF" if i % 2 else "NOT", None)
-            for i, n in enumerate(lengths)]
-    data = write_olid(root / "train.tsv", rows)
-    vectors = rng.uniform(-0.5, 0.5, size=(len(words), 200))
-    lines = [f"{w} " + " ".join(f"{v:.4f}" for v in row) for w, row in zip(words, vectors)]
-    embeddings = root / "vectors.txt"
-    embeddings.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return root, data, embeddings
+    return (root, *write_small_paper_inputs(root))
 
 
 def train_digest(inputs, arch, threads):
