@@ -60,21 +60,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path: str) -> dict:
+    values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        for lineno, line in D.read_lines(path, UsageError):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
     except OSError as exc:
         raise UsageError(f"{path}: cannot read config file: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise UsageError(D.not_utf8(path, exc)) from None
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
     return values
 
 
@@ -241,8 +238,7 @@ def _out_path(args) -> Path:
 def _read_items(value, flag: str) -> frozenset[str]:
     """The stripped non-blank lines of a file; '#' lines are items too, because
     overrides may name hashtags."""
-    lines = _require_path(value, flag).read_text("utf-8").splitlines()
-    return frozenset(line.strip() for line in lines if line.strip())
+    return D.read_items(_require_path(value, flag))
 
 
 def cmd_preprocess(args) -> int:
@@ -330,17 +326,15 @@ def cmd_predict(args) -> int:
 
 def _read_predictions(path: Path, task: str) -> dict[str, str]:
     preds = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise D.DataFormatError(f"{path}:{lineno}: expected at least 2 fields")
-            # task A rows are id/probability/label; task B rows are id/label/rule
-            label = fields[2] if task == "A" and len(fields) >= 3 else fields[1]
-            preds[fields[0]] = label
+    for lineno, line in D.read_lines(path):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise D.DataFormatError(f"{path}:{lineno}: expected at least 2 fields")
+        # task A rows are id/probability/label; task B rows are id/label/rule
+        label = fields[2] if task == "A" and len(fields) >= 3 else fields[1]
+        preds[fields[0]] = label
     return preds
 
 

@@ -10,6 +10,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -30,20 +31,41 @@ class DataFormatError(ValueError):
     """A dataset or support file violates its declared format."""
 
 
-def not_utf8(path: Path, exc: UnicodeDecodeError) -> str:
-    """``path:line: not UTF-8 (reason)`` for a text file that failed to decode.
+def read_lines(path: str | Path, error: type[Exception] = DataFormatError
+               ) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each line of a UTF-8 text file, from 1,
+    without its ending (``\\n``, ``\\r\\n`` or ``\\r``); blank lines included.
 
-    Text-mode reading decodes a block of lines at a time, so the line an
-    error surfaces on is not the line that holds the bad bytes: this finds
-    the first 1-based line that is not UTF-8.
+    A file that is not UTF-8 raises ``error("path:N: not UTF-8 (reason)")``,
+    naming the first line N that does not decode: text mode decodes a block
+    of lines at a time, so the error can surface on an earlier line.
     """
-    with Path(path).open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")  # universal newlines end every line in \n
+            return
+        except UnicodeDecodeError as exc:
+            reason = exc.reason
+    with open(path, "rb") as fh:
+        # bytes.splitlines cuts at \n, \r\n and \r, as text mode does
+        raw_lines = (raw for chunk in fh for raw in chunk.splitlines())
+        for lineno, raw in enumerate(raw_lines, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
-                return f"{path}:{lineno}: not UTF-8 ({exc.reason})"
-    return f"{path}: not UTF-8 ({exc.reason})"  # the file changed while it was read
+                raise error(f"{path}:{lineno}: not UTF-8 ({reason})") from None
+    raise error(f"{path}: not UTF-8 ({reason})")  # the file changed while it was read
+
+
+def read_items(path: str | Path) -> frozenset[str]:
+    """The stripped non-blank lines of a text file (see :func:`read_lines`)."""
+    return frozenset(item for _, line in read_lines(path) if (item := line.strip()))
+
+
+def resource(name: str) -> Path:
+    """The path of a file shipped in the package's ``resources`` directory."""
+    return Path(__file__).parent / "resources" / name
 
 
 @dataclass(frozen=True)
@@ -107,14 +129,7 @@ class ExclusionList:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExclusionList":
         """Read one id per line; blank lines and ``#`` comment lines are ignored."""
-        ids = set()
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                ids.add(line)
-        return cls(frozenset(ids))
+        return cls(frozenset(line for line in read_items(path) if not line.startswith("#")))
 
 
 def _parse_label(raw: str, allowed: tuple[str, ...], path: Path, lineno: int) -> str | None:
@@ -133,42 +148,38 @@ def load_olid(path: str | Path, has_labels: bool = True, split_tag: str = "train
     A ``NULL`` (or empty) label cell maps to an absent label.
     """
     path = Path(path)
+    lines = read_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise DataFormatError(f"{path}: empty file, expected a header row")
+    header = first[1].split("\t")
+    required = ["id", "tweet"] + (["subtask_a", "subtask_b"] if has_labels else [])
     try:
-        with path.open(encoding="utf-8") as fh:
-            header_line = fh.readline()
-            if not header_line:
-                raise DataFormatError(f"{path}: empty file, expected a header row")
-            header = header_line.rstrip("\r\n").split("\t")
-            required = ["id", "tweet"] + (["subtask_a", "subtask_b"] if has_labels else [])
-            try:
-                cols = {name: header.index(name) for name in required}
-            except ValueError:
-                missing = [name for name in required if name not in header]
-                raise DataFormatError(f"{path}: header is missing column(s) {missing}") from None
+        cols = {name: header.index(name) for name in required}
+    except ValueError:
+        missing = [name for name in required if name not in header]
+        raise DataFormatError(f"{path}: header is missing column(s) {missing}") from None
 
-            records = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != len(header):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected {len(header)} tab-separated fields, "
-                        f"got {len(fields)}"
-                    )
-                label_a = label_b = None
-                if has_labels:
-                    label_a = _parse_label(fields[cols["subtask_a"]], LABELS_A, path, lineno)
-                    label_b = _parse_label(fields[cols["subtask_b"]], LABELS_B, path, lineno)
-                try:
-                    records.append(
-                        DatasetRecord(fields[cols["id"]], fields[cols["tweet"]], label_a, label_b)
-                    )
-                except DataFormatError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(not_utf8(path, exc)) from None
+    records = []
+    for lineno, line in lines:
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(header)} tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        label_a = label_b = None
+        if has_labels:
+            label_a = _parse_label(fields[cols["subtask_a"]], LABELS_A, path, lineno)
+            label_b = _parse_label(fields[cols["subtask_b"]], LABELS_B, path, lineno)
+        try:
+            records.append(
+                DatasetRecord(fields[cols["id"]], fields[cols["tweet"]], label_a, label_b)
+            )
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return Dataset(tuple(records), split_tag)
 
 

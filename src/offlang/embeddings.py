@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import not_utf8
+from .data import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -65,30 +65,26 @@ def load_embeddings(
     vectors: dict[str, np.ndarray] = {}
     skipped = 0
     any_valid = False
-    with path.open(encoding="utf-8") as fh:
+    for _, line in read_lines(path, EmbeddingFormatError):
+        wanted = True
+        if only is not None:
+            head = line.split(None, 1)
+            wanted = bool(head) and head[0] in only
+            if not wanted and any_valid:
+                continue
+        parts = line.split()
+        if len(parts) != expected_dim + 1:
+            skipped += wanted
+            continue
+        word = parts[0]
         try:
-            for line in fh:
-                wanted = True
-                if only is not None:
-                    head = line.split(None, 1)
-                    wanted = bool(head) and head[0] in only
-                    if not wanted and any_valid:
-                        continue
-                parts = line.rstrip("\r\n").split()
-                if len(parts) != expected_dim + 1:
-                    skipped += wanted
-                    continue
-                word = parts[0]
-                try:
-                    vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
-                except ValueError:
-                    skipped += wanted
-                    continue
-                any_valid = True
-                if wanted and word not in vectors:
-                    vectors[word] = vec
-        except UnicodeDecodeError as exc:
-            raise EmbeddingFormatError(not_utf8(path, exc)) from None
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+        except ValueError:
+            skipped += wanted
+            continue
+        any_valid = True
+        if wanted and word not in vectors:
+            vectors[word] = vec
     if not any_valid:
         raise EmbeddingFormatError(f"{path}: no valid {expected_dim}-dimensional vectors found")
     if skipped:

@@ -20,11 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .data import Dataset, TIN, UNT
+from .data import Dataset, TIN, UNT, read_items, read_lines, resource
 from .preprocess import HASHTAG, WORD, tokenize
 
 POS_N = "N"
@@ -105,14 +104,9 @@ class HeuristicLexicon:
     @classmethod
     def from_file(cls, path: str | Path) -> "HeuristicLexicon":
         """One item per line; entries starting with ``#`` are hashtags."""
-        hashtags, tokens = set(), set()
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                item = line.strip().lower()
-                if not item:
-                    continue
-                (hashtags if item.startswith("#") else tokens).add(item)
-        return cls(frozenset(hashtags), frozenset(tokens))
+        items = {item.lower() for item in read_items(path)}
+        hashtags = frozenset(item for item in items if item.startswith("#"))
+        return cls(hashtags, frozenset(items - hashtags))
 
     def to_file(self, path: str | Path):
         with Path(path).open("w", encoding="utf-8") as fh:
@@ -173,19 +167,13 @@ def build_lexicon(
 
 @lru_cache(maxsize=None)
 def _resource_words(name: str) -> frozenset[str]:
-    text = (importlib_resources.files("offlang.resources") / name).read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
+    return read_items(resource(name))
 
 
 @lru_cache(maxsize=1)
 def _gazetteer() -> dict[str, str]:
-    text = (importlib_resources.files("offlang.resources") / "gazetteer.tsv").read_text("utf-8")
-    table = {}
-    for line in text.splitlines():
-        if line.strip():
-            name, kind = line.split("\t")
-            table[name] = kind
-    return table
+    return dict(line.split("\t") for _, line in read_lines(resource("gazetteer.tsv"))
+                if line.strip())
 
 
 def _is_verb(word: str, stems: frozenset[str]) -> bool:
@@ -249,35 +237,33 @@ def load_annotations(path: str | Path) -> dict[str, AnnotatedTweet]:
     """
     path = Path(path)
     annotations: dict[str, AnnotatedTweet] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise AnnotationError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            tweet_id, tagged, span_field = parts
-            tokens: list[str] = []
-            tags: list[str] = []
-            for pair in tagged.split():
-                token, sep, tag = pair.rpartition("/")
-                if not sep or not token:
-                    raise AnnotationError(f"{path}:{lineno}: bad token/POS pair {pair!r}")
-                tokens.append(token)
-                tags.append(tag)
-            spans: list[EntitySpan] = []
-            if span_field != "-":
-                for chunk in span_field.split(","):
-                    try:
-                        start, end, kind = chunk.split(":")
-                        spans.append(EntitySpan(int(start), int(end), kind))
-                    except ValueError as exc:
-                        raise AnnotationError(f"{path}:{lineno}: bad span {chunk!r}: {exc}") from None
-            try:
-                annotations[tweet_id] = AnnotatedTweet(tuple(tokens), tuple(tags), tuple(spans))
-            except ValueError as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in read_lines(path, AnnotationError):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise AnnotationError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        tweet_id, tagged, span_field = parts
+        tokens: list[str] = []
+        tags: list[str] = []
+        for pair in tagged.split():
+            token, sep, tag = pair.rpartition("/")
+            if not sep or not token:
+                raise AnnotationError(f"{path}:{lineno}: bad token/POS pair {pair!r}")
+            tokens.append(token)
+            tags.append(tag)
+        spans: list[EntitySpan] = []
+        if span_field != "-":
+            for chunk in span_field.split(","):
+                try:
+                    start, end, kind = chunk.split(":")
+                    spans.append(EntitySpan(int(start), int(end), kind))
+                except ValueError as exc:
+                    raise AnnotationError(f"{path}:{lineno}: bad span {chunk!r}: {exc}") from None
+        try:
+            annotations[tweet_id] = AnnotatedTweet(tuple(tokens), tuple(tags), tuple(spans))
+        except ValueError as exc:
+            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
     return annotations
 
 
@@ -337,5 +323,4 @@ def default_stoplist() -> frozenset[str]:
 @lru_cache(maxsize=1)
 def seed_lexicon() -> HeuristicLexicon:
     """A small starter lexicon of items known to mark targeted offense."""
-    path = importlib_resources.files("offlang.resources") / "seed_lexicon.txt"
-    return HeuristicLexicon.from_file(str(path))
+    return HeuristicLexicon.from_file(resource("seed_lexicon.txt"))

@@ -36,6 +36,7 @@ from .nn import (
     ParallelConcat,
     predict_proba,
 )
+from .nn.training import MIN_WIDTH
 from .preprocess import PreprocessConfig, preprocess_pipeline
 
 ARCH_CNN = "cnn"
@@ -156,8 +157,14 @@ def label_for(probability: float, threshold: float = 0.5) -> str:
 
 def _encode_records(records: Sequence[DatasetRecord], token_lists: Sequence[Sequence[str]],
                     vocabulary: Vocabulary, max_len: int) -> EncodedDataset:
-    """Encode each record's preprocessed tokens; OFF maps to label 1.0, NOT to 0.0."""
-    X, lengths = encode_batch(token_lists, vocabulary, max_len)
+    """Encode each record's preprocessed tokens; OFF maps to label 1.0, NOT to 0.0.
+
+    Rows are padded to ``min(max_len, max(longest row, MIN_WIDTH))`` columns,
+    no fewer than any batch cut from them needs while no convolution window
+    is wider than ``MIN_WIDTH`` (cnn's widest is 4).
+    """
+    longest = max(map(len, token_lists), default=0)
+    X, lengths = encode_batch(token_lists, vocabulary, min(max_len, max(longest, MIN_WIDTH)))
     y = np.array([1.0 if r.label_a == OFF else 0.0 for r in records], dtype=np.float32)
     return EncodedDataset(X, lengths, y, tuple(r.id for r in records))
 

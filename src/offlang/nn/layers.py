@@ -39,9 +39,9 @@ import numpy as np
 # stack of matrices one matrix at a time), so blocks give the same bytes as
 # the whole batch while the temporaries stay small at any padded width.
 ROW_BLOCK = 8
-# Rows per partial sum in `position_sums`. OpenBLAS (Haswell kernels) sums a
-# GEMM's inner dimension in an order that depends on the thread count for
-# some lengths above 448; at 256 and below it does not.
+# Rows per partial sum in `position_sums`. OpenBLAS (SkylakeX AVX-512
+# kernels) sums a GEMM's inner dimension in an order that depends on the
+# thread count for some lengths above 448; at 256 and below it does not.
 SUM_ROWS = 256
 
 

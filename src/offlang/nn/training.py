@@ -88,6 +88,11 @@ INFERENCE_CELLS = 128 * 96
 # in another order (OpenBLAS on AVX-512 does so below 6 rows for cnn's hidden
 # Dense layer at paper size), so no block is smaller.
 MIN_BLOCK_ROWS = 8
+# No batch is cut below 16 columns: a convolution's product over only a few
+# output rows can take another BLAS kernel, which sums in another order
+# (OpenBLAS takes its matrix-vector kernel for one row, and on AVX-512 it
+# did so at a width of 8 at paper size).
+MIN_WIDTH = 16
 
 
 def _inference_width(model: ModelGraph, steps: int, longest: int) -> int:
@@ -96,16 +101,13 @@ def _inference_width(model: ModelGraph, steps: int, longest: int) -> int:
     Training cuts its batches by this rule as well as inference. Every
     layer ignores padding exactly, so the longest row would do, but the
     width also covers the widest convolution window, which the fallback for
-    rows shorter than it reads, and is at least 16: a convolution's product
-    over only a few output rows can take another BLAS kernel, which sums in
-    another order (OpenBLAS takes its matrix-vector kernel for one row, and
-    on AVX-512 it did so at a width of 8 at paper size).
+    rows shorter than it reads, and is at least ``MIN_WIDTH``.
     """
     layers = list(model.layers)
     for layer in layers:  # appending while iterating also walks nested branches
         layers.extend(l for branch in getattr(layer, "branches", ()) for l in branch)
     widest = max((l.width for l in layers if isinstance(l, Conv1D)), default=1)
-    return min(steps, max(longest, widest, 16))
+    return min(steps, max(longest, widest, MIN_WIDTH))
 
 
 def predict_proba(model: ModelGraph, X, lengths) -> np.ndarray:

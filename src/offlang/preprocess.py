@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from .data import read_lines
 from .segmentation import SegmentationDictionary, default_dictionary, segment_hashtag
 
 WORD = "word"
@@ -132,15 +133,13 @@ class NormalizationTable:
     def from_file(cls, path: str | Path) -> "NormalizationTable":
         """Read ``variant<TAB>canonical`` lines (UTF-8, blank lines skipped)."""
         entries = {}
-        with Path(path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise ValueError(f"{path}:{lineno}: expected 'variant<TAB>canonical'")
-                entries[parts[0]] = parts[1]
+        for lineno, line in read_lines(path):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise ValueError(f"{path}:{lineno}: expected 'variant<TAB>canonical'")
+            entries[parts[0]] = parts[1]
         return cls(entries)
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources as importlib_resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
+
+from .data import read_lines, resource
 
 _LOG10 = math.log(10.0)
 # Splits remembered per dictionary; a tag first met once the memo is full
@@ -62,23 +63,21 @@ class SegmentationDictionary:
         A malformed line raises ``ValueError`` naming ``path:lineno``.
         """
         counts: dict[str, int] = {}
-        with Path(path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count'")
-                word, count = parts
-                try:
-                    count = int(count)
-                    error = _entry_error(word, count)
-                except ValueError:
-                    error = f"count {count!r} is not an integer"
-                if error:
-                    raise ValueError(f"{path}:{lineno}: {error}")
-                counts[word] = counts.get(word, 0) + count
+        for lineno, line in read_lines(path):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count'")
+            word, count = parts
+            try:
+                count = int(count)
+                error = _entry_error(word, count)
+            except ValueError:
+                error = f"count {count!r} is not an integer"
+            if error:
+                raise ValueError(f"{path}:{lineno}: {error}")
+            counts[word] = counts.get(word, 0) + count
         return cls(counts)
 
     def log_prob(self, chunk: str) -> float:
@@ -135,5 +134,4 @@ def _best_split(tag: str, dictionary: SegmentationDictionary) -> tuple[str, ...]
 @lru_cache(maxsize=1)
 def default_dictionary() -> SegmentationDictionary:
     """The shipped English word-frequency list."""
-    path = importlib_resources.files("offlang.resources") / "wordlist.tsv"
-    return SegmentationDictionary.from_file(str(path))
+    return SegmentationDictionary.from_file(resource("wordlist.tsv"))

@@ -481,6 +481,22 @@ def untrained_model(tmp_path):
     return path
 
 
+def test_predict_encodes_at_the_width_of_the_data(tmp_path):
+    # a max_len far beyond any tweet predicts what 200 does, without
+    # allocating max_len columns
+    words = sorted({w for _, text, _, _ in TRAIN_ROWS for w in text.split()})
+    matrix = np.random.default_rng(0).uniform(-0.05, 0.05, (len(words) + 2, 8))
+    model = BUILDERS[ARCH_CNN](matrix.astype(np.float32), expected_dim=8, seed=0)
+    data = write_olid(tmp_path / "two.tsv", TRAIN_ROWS[:2])
+    written = []
+    for max_len in (10**13, 200):
+        path, out = tmp_path / f"{max_len}.bin", tmp_path / f"{max_len}.tsv"
+        save_model(path, model, {w: i for i, w in enumerate(words, start=2)}, max_len)
+        assert main(["predict", str(path), "--data", str(data), "--out", str(out)]) == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 VALIDATE = ["--validation-fraction", "0.34"]  # both splits of the 8 rows non-empty
 
 

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_olid
+from offlang.cli import UsageError, _load_config_file, _read_items, _read_predictions
 from offlang.data import (
     DataFormatError,
     Dataset,
@@ -9,8 +12,34 @@ from offlang.data import (
     apply_exclusions,
     class_distribution,
     load_olid,
+    read_lines,
     stratified_split,
 )
+from offlang.embeddings import EmbeddingFormatError, load_embeddings
+from offlang.heuristics import AnnotationError, HeuristicLexicon, load_annotations
+from offlang.preprocess import NormalizationTable
+from offlang.segmentation import SegmentationDictionary
+
+# Every reader of a text file: how to call it, the error a non-UTF-8 file
+# raises, and a valid first line and a valid later line.
+READERS = {
+    "olid": (load_olid, DataFormatError,
+             b"id\ttweet\tsubtask_a\tsubtask_b\n", b"1\tan ordinary tweet\tNOT\tNULL\n"),
+    "embeddings": (lambda path: load_embeddings(path, 2), EmbeddingFormatError,
+                   b"a 0.1 0.2\n", b"b 0.3 -4\n"),
+    "config": (_load_config_file, UsageError, b"k=3\n", b"# a comment\n"),
+    "exclusion-list": (ExclusionList.from_file, DataFormatError, b"# ids\n", b"12\n"),
+    "norm-table": (NormalizationTable.from_file, DataFormatError, b"b*tch\tbitch\n", b"sob\tson\n"),
+    "seg-dict": (SegmentationDictionary.from_file, DataFormatError, b"alpha\t5\n", b"beta\t3\n"),
+    "lexicon": (HeuristicLexicon.from_file, DataFormatError, b"#maga\n", b"scum\n"),
+    "annotations": (load_annotations, AnnotationError,
+                    b"7\tyou/PRP are/V\t-\n", b"8\tBob/NNP\t0:1:PERSON\n"),
+    "stoplist": (lambda path: _read_items(path, "--stoplist"), DataFormatError, b"the\n", b"#a\n"),
+    "predictions": (lambda path: _read_predictions(path, "A"), DataFormatError,
+                    b"1\t0.900000\tOFF\n", b"2\t0.100000\tNOT\n"),
+}
+# Readers whose malformed lines raise a plain ValueError.
+MALFORMED = {"norm-table": ValueError, "seg-dict": ValueError}
 
 
 def test_load_two_rows(tmp_path):
@@ -41,15 +70,59 @@ def test_load_rejects_wrong_column_count(tmp_path):
         load_olid(path)
 
 
-@pytest.mark.parametrize("bad_line", [2, 900])
-def test_load_rejects_non_utf8_naming_the_line(tmp_path, bad_line):
+@pytest.mark.parametrize("reader, bad_line", [
+    pytest.param("olid", 2, id="2"),
+    pytest.param("olid", 900, id="900"),
+    *(pytest.param(reader, 2, id=reader) for reader in READERS if reader != "olid"),
+])
+def test_load_rejects_non_utf8_naming_the_line(tmp_path, reader, bad_line):
     # text mode decodes many lines at once; the message names the bad one
+    read, error, first, good = READERS[reader]
     path = tmp_path / "d.tsv"
-    good = "1\tan ordinary tweet\tNOT\tNULL\n".encode()
-    rows = good * (bad_line - 2) + "2\tcaf\xe9 au lait\tNOT\tNULL\n".encode("latin-1") + good
-    path.write_bytes(b"id\ttweet\tsubtask_a\tsubtask_b\n" + rows)
-    with pytest.raises(DataFormatError, match=f"d.tsv:{bad_line}: not UTF-8"):
-        load_olid(path)
+    path.write_bytes(first + good * (bad_line - 2) + b"caf\xe9 au lait\n" + good)
+    with pytest.raises(error, match=f"d.tsv:{bad_line}: not UTF-8") as excinfo:
+        read(path)
+    assert excinfo.type is error
+
+
+FRAGMENTS = [b"\t", b"\n", b"\r", b"\r\n", b" ", b"#", b"=", b"/", b":", b",", b"-", b"*",
+             b"a", b"A", b"1", b"0.5", b"NOT", b"OFF", b"NULL", b"PERSON", b"PRP",
+             b"id\ttweet\tsubtask_a\tsubtask_b\n", b"\xe9", b"\xc3\xa9", b"\xff", b"\x85",
+             b"\xe2\x80\xa8", b"\x00"]
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(content=st.binary(max_size=48)
+       | st.lists(st.sampled_from(FRAGMENTS), max_size=24).map(b"".join))
+def test_readers_raise_only_their_own_errors(tmp_path_factory, reader, content):
+    read, error, _, _ = READERS[reader]
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{reader}"
+    path.write_bytes(content)
+    try:
+        read(path)
+    except Exception as exc:  # noqa: BLE001 - the type is what is tested
+        # UnicodeDecodeError is itself a ValueError
+        assert isinstance(exc, (error, MALFORMED.get(reader, error)))
+        assert not isinstance(exc, UnicodeDecodeError), exc
+
+
+@pytest.mark.parametrize("content, lines", [
+    (b"a\r\n\r\nb\rc\nd", [(1, "a"), (2, ""), (3, "b"), (4, "c"), (5, "d")]),
+    # str.splitlines would also cut at each of these
+    ("a\x85b\u2028c\x0bd\x0ce\n".encode(), [(1, "a\x85b\u2028c\x0bd\x0ce")]),
+], ids=["newlines", "other-separators"])
+def test_read_lines_splits_only_at_newlines(tmp_path, content, lines):
+    path = tmp_path / "t.txt"
+    path.write_bytes(content)
+    assert list(read_lines(path)) == lines
+
+
+def test_read_lines_counts_lines_as_text_mode_does(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a\rb\r\ncaf\xe9\n")
+    with pytest.raises(DataFormatError, match="t.txt:3: not UTF-8"):
+        list(read_lines(path))
 
 
 def test_load_unlabeled(tmp_path):
