@@ -1,8 +1,14 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offlang import preprocess
 from offlang.preprocess import (
+    _TOKEN_RE,
+    EMOTICONS,
     NormalizationTable,
     Token,
     TokenizedTweet,
@@ -67,6 +73,86 @@ def test_tokenize_bare_marker_keeps_kind_invariant():
 def test_tokenize_never_loses_characters(text):
     tweet = tokenize(text)  # TokenizedTweet validates the reconstruction itself
     assert "".join(t.surface for t in tweet.tokens) == "".join(text.split())
+
+
+def fresh_kinds(text):
+    return [(m.group(), m.lastgroup) for m in _TOKEN_RE.finditer(text)]
+
+
+# the last piece, \u200b, is not whitespace, so it must stay inside its chunk
+SPACES = [" ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000"]
+PIECES = [*EMOTICONS, "URL", "url", "Url#", "http://t.co/x", "https://a.b/c?d", "www.",
+          "www.x.y", "#", "@", "#tag", "@who", "b**ch", "*", "_", "7", "2019", "é", "Ωmega",
+          "日本", "x", "d", "!", ":", "\u200b"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(PIECES + SPACES), st.text(max_size=3)), max_size=25)
+       .map("".join))
+@settings(max_examples=500, deadline=None)
+def test_no_token_spans_whitespace(text):
+    chunked = [pair for chunk in text.split() for pair in fresh_kinds(chunk)]
+    assert fresh_kinds(text) == chunked
+    assert kinds(text) == chunked
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(preprocess, "_chunk_memo", {})
+    monkeypatch.setattr(preprocess, "_memo_chars", 0)
+
+
+def test_memo_gives_the_fresh_tokenization(empty_memo):
+    texts = [" ".join(PIECES), "".join(PIECES), " x".join(reversed(PIECES))]
+    for text in texts + texts:  # the second pass hits the memo for every chunk
+        assert kinds(text) == fresh_kinds(text)
+    assert set(preprocess._chunk_memo) == {c for text in texts for c in text.split()}
+
+
+def test_memo_reuses_the_tokens_of_a_chunk(empty_memo):
+    first = tokenize("so :) #tag")
+    again = tokenize("#tag so")
+    assert again.tokens[0] is first.tokens[2] and again.tokens[1] is first.tokens[0]
+    assert preprocess._chunk_memo == {
+        "so": (Token("so", "word"),),
+        ":)": (Token(":)", "emoticon"),),
+        "#tag": (Token("#tag", "hashtag"),),
+    }
+
+
+def test_memo_respects_its_budget(empty_memo, monkeypatch):
+    monkeypatch.setattr(preprocess, "MEMO_BUDGET", 10)
+    texts = ["abc #x", ":)!", "hello abc", "b**ch 42", "hello"]
+    for text in texts:
+        assert kinds(text) == fresh_kinds(text)
+        assert sum(map(len, preprocess._chunk_memo)) == preprocess._memo_chars <= 10
+    # "hello" and "b**ch" did not fit in the room left; the shorter "42" did
+    assert list(preprocess._chunk_memo) == ["abc", "#x", ":)!", "42"]
+    assert tokenize("hello").tokens[0] is not tokenize("hello").tokens[0]
+    assert tokenize("abc").tokens[0] is tokenize("abc").tokens[0]
+
+
+def test_memo_budget_holds_across_threads(empty_memo, monkeypatch):
+    monkeypatch.setattr(preprocess, "MEMO_BUDGET", 30_000)
+    chunks = [f"w{i}" for i in range(8000)]  # 38,890 characters, more than the budget
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=60)
+        for chunk in chunks:
+            tokenize(chunk)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sum(map(len, preprocess._chunk_memo)) == preprocess._memo_chars <= 30_000
 
 
 def test_token_invariants():

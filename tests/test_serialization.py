@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offlang.models import build_blstm_attention, build_blstm_bgru, build_cnn
 from offlang.nn import ModelFormatError, load_model, predict_proba, save_model
@@ -166,3 +168,59 @@ def test_deeply_nested_header_rejected(tmp_path, header):
     path.write_bytes(_container(header))
     with pytest.raises(ModelFormatError, match="bad header"):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def bgru_container(tmp_path_factory):
+    matrix = np.random.default_rng(1).uniform(-0.05, 0.05, size=(20, 16)).astype(np.float32)
+    path = tmp_path_factory.mktemp("bgru") / "m.bin"
+    save_model(path, build_blstm_bgru(matrix, units=3, hidden=4, expected_dim=16, seed=3),
+               {"w": 2, "x": 3}, max_len=12)
+    return path.read_bytes()
+
+
+def _value_paths(node, path=()):
+    """Every path to a value inside the parsed header, nested ones included."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+def _truncated(blob, data):
+    return blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+
+
+def _flipped(blob, data):
+    (length,) = struct.unpack("<Q", blob[8:16])
+    flips = data.draw(st.lists(st.tuples(st.integers(0, 15 + length), st.integers(1, 255)),
+                               min_size=1, max_size=4), label="flips")
+    out = bytearray(blob)
+    for index, mask in flips:
+        out[index] ^= mask
+    return bytes(out)
+
+
+def _swapped(blob, data):
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + length])
+    *parents, last = data.draw(st.sampled_from(list(_value_paths(header))), label="path")
+    node = header
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(st.sampled_from([None, -1, 2**64, 1e400, "", [], {}]), label="value")
+    return _container(json.dumps(header).encode()) + blob[16 + length :]
+
+
+@given(mutate=st.sampled_from([_truncated, _flipped, _swapped]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_container_raises_only_model_format_error(
+    tmp_path_factory, bgru_container, mutate, data
+):
+    path = tmp_path_factory.getbasetemp() / "mutated.bin"
+    path.write_bytes(mutate(bgru_container, data))
+    try:
+        load_model(path)
+    except ModelFormatError:
+        pass
