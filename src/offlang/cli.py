@@ -334,6 +334,8 @@ def _read_predictions(path: Path, task: str) -> dict[str, str]:
             raise D.DataFormatError(f"{path}:{lineno}: expected at least 2 fields")
         # task A rows are id/probability/label; task B rows are id/label/rule
         label = fields[2] if task == "A" and len(fields) >= 3 else fields[1]
+        if fields[0] in preds:
+            raise D.DataFormatError(f"{path}:{lineno}: duplicate id {fields[0]!r}")
         preds[fields[0]] = label
     return preds
 

@@ -244,6 +244,8 @@ def load_annotations(path: str | Path) -> dict[str, AnnotatedTweet]:
         if len(parts) != 3:
             raise AnnotationError(f"{path}:{lineno}: expected 3 tab-separated fields")
         tweet_id, tagged, span_field = parts
+        if tweet_id in annotations:
+            raise AnnotationError(f"{path}:{lineno}: duplicate id {tweet_id!r}")
         tokens: list[str] = []
         tags: list[str] = []
         for pair in tagged.split():

@@ -11,6 +11,14 @@ Conventions:
     `Bidirectional` does this for both the LSTM and the GRU cell, and stops
     at the batch's longest row, since the steps after it are padding in
     every row;
+  * the input projection of `Bidirectional` covers only those first steps,
+    as one flattened GEMM; `Conv1D` and `MaxOverTime` work in blocks of
+    `ROW_BLOCK` rows, each cut to its own longest row, so their cost follows
+    each block and a convolution reads no column past its block's windows;
+  * no flattened product runs on one row (`flat_matmul`), so a row gets
+    the same bytes in a flattened product of any size; the recurrent step
+    of a one-row batch is still a matrix-vector product, which sums in
+    another order than a step of more rows;
   * word dropout draws its mask at the shape of the indices the `Embedding`
     gets, so a training batch cut to its longest row draws no mask for
     columns that nothing reads;
@@ -33,11 +41,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# Rows per block where a layer would otherwise make a temporary as large as a
-# whole (batch, time, features) array: Conv1D's per-offset products and
-# MaxOverTime's masked copy. Both work one row at a time (numpy multiplies a
-# stack of matrices one matrix at a time), so blocks give the same bytes as
-# the whole batch while the temporaries stay small at any padded width.
+# Rows per block of Conv1D and MaxOverTime. A block is cut to its own longest
+# window: Conv1D multiplies the block's columns as one flattened GEMM per
+# offset, and MaxOverTime masks a copy of only those columns, so the work and
+# the temporaries follow each block's longest row at any padded width. With
+# the paper's 256 filters (or 192 and 256 gate columns), OpenBLAS's GEMM sums
+# each output over its inner dimension in one order whatever its number of
+# rows but one, so a row's bytes depend neither on its block nor on the cut.
+# (At some other column counts, 100 or 200 among them, a product of a few
+# rows takes OpenBLAS's small-matrix kernel, which sums in another order.)
 ROW_BLOCK = 8
 # Rows per partial sum in `position_sums`. OpenBLAS (SkylakeX AVX-512
 # kernels) sums a GEMM's inner dimension in an order that depends on the
@@ -110,6 +122,19 @@ def position_sums(grad, x=None):
         if x is not None:
             weight += x[part].T @ grad[part]
     return weight, total
+
+
+def flat_matmul(a, b):
+    """``a @ b`` for a 2-D ``a``, never run as a one-row product.
+
+    OpenBLAS multiplies one row with its matrix-vector kernel, which sums in
+    another order than its GEMM kernel, so a one-row ``a`` runs doubled and
+    the copy is dropped: each row gets the bytes it gets in a product of more
+    rows.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
 
 
 def dropout_mask(rng, shape, rate, dtype):
@@ -341,20 +366,30 @@ class Conv1D(Layer):
         out_steps = steps - self.width + 1
         valid = length_mask(out_lengths, batch, out_steps, min_one=True)
         W = self.weights.value
-        # z is the sum over offsets i of x[:, i:i+T'] @ W[i], added in offset
-        # order: each product sums over in_dim only, in one order whatever the
-        # BLAS thread count, where one im2col product over width * in_dim
-        # does not for some widths
-        y = np.empty((batch, out_steps, self.filters), dtype=x.dtype)
+        # A block computes only its first `need` positions, up to its longest
+        # row's windows, from the `span` columns they read, as one flattened
+        # (rows * span, in_dim) product per offset i. z at t is the sum over i
+        # of the i-th product at t + i, added in offset order: each product
+        # sums over in_dim only, in one order whatever the BLAS thread count,
+        # where one im2col product over width * in_dim does not for some
+        # widths. Positions past `need` stay 0.
+        y = np.zeros((batch, out_steps, self.filters), dtype=x.dtype)
         for start in range(0, batch, ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
-            z = y[block]
-            np.matmul(x[block, :out_steps], W[0], out=z)
+            need = out_steps
+            if out_lengths is not None:
+                need = min(out_steps, max(1, int(out_lengths[block].max())))
+            span = need + self.width - 1
+            cols = x[block, :span]
+            flat = cols.reshape(-1, dim)
+            shape = (len(cols), span, self.filters)
+            z = flat_matmul(flat, W[0]).reshape(shape)[:, :need]
             for i in range(1, self.width):
-                z += x[block, i : i + out_steps] @ W[i]
+                z += flat_matmul(flat, W[i]).reshape(shape)[:, i : i + need]
             z += self.bias.value
             np.maximum(z, 0, out=z)
-            z *= valid[block, :, None]
+            z *= valid[block, :need, None]
+            y[block, :need] = z
         if train:
             self._cache = (x, y > 0, valid)
         return y, out_lengths
@@ -367,7 +402,7 @@ class Conv1D(Layer):
         dW, db = position_sums(dz, cols)
         self.weights.grad += dW.reshape(self.weights.value.shape)
         self.bias.grad += db
-        dcols = dz @ self.weights.value.reshape(-1, self.filters).T
+        dcols = flat_matmul(dz, self.weights.value.reshape(-1, self.filters).T)
         dx = np.zeros(x.shape, dtype=grad.dtype)
         for i in range(self.width):  # no position repeats within one offset
             dx[rows, starts + i] += dcols[:, i * self.in_dim : (i + 1) * self.in_dim]
@@ -382,11 +417,15 @@ class MaxOverTime(Layer):
     def forward(self, x, lengths, train=False, rng=None):
         batch, steps, dim = x.shape
         valid = length_mask(lengths, batch, steps, min_one=True)
-        arg = np.empty((batch, dim), dtype=np.intp)
+        out = np.empty((batch, dim), dtype=x.dtype)
+        arg = np.empty((batch, dim), dtype=np.intp) if train else None
         for start in range(0, batch, ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
-            arg[block] = np.where(valid[block, :, None], x[block], -np.inf).argmax(axis=1)
-        out = np.take_along_axis(x, arg[:, None, :], axis=1)[:, 0, :]
+            need = steps if lengths is None else min(steps, max(1, int(np.max(lengths[block]))))
+            masked = np.where(valid[block, :need, None], x[block, :need], -np.inf)
+            out[block] = masked.max(axis=1)
+            if train:  # only backward reads the position of the max
+                arg[block] = masked.argmax(axis=1)
         if train:
             self._cache = (arg, x.shape)
         return out, None
@@ -562,13 +601,13 @@ class Bidirectional(Layer):
     and the carry of every state (and its gradient) unchanged through padded
     steps, so outputs do not depend on the amount of padding.
 
-    The time loop runs only over the batch's first ``max(lengths)`` steps:
-    after them every row is padding, and a step would only carry the states
-    and their gradients through and add zeros. Inside the loop, a row shorter
-    than the longest still steps through its padding with the carry. The
-    input weight and bias gradients sum over the valid steps only
-    (``position_sums``), so the bytes of every gradient are those of the
-    same batch at any padded width.
+    The time loop, and the input projection before it, run only over the
+    batch's first ``max(lengths)`` steps: after them every row is padding,
+    and a step would only carry the states and their gradients through and
+    add zeros. Inside the loop, a row shorter than the longest still steps
+    through its padding with the carry. The input weight and bias gradients
+    sum over the valid steps only (``position_sums``), so the bytes of every
+    gradient are those of the same batch at any padded width.
 
     ``dropout`` zeroes input connections with one mask per direction shared
     across timesteps (training only). ``return_sequences`` selects the full
@@ -617,13 +656,15 @@ class Bidirectional(Layer):
         """(outputs, final output state, cache) of one direction; only a
         train-mode call fills the (steps, saved, batch, units) buffer that
         ``_direction_backward`` reads, otherwise the cache is None."""
-        batch, steps, _ = x.shape
-        xp = x @ W  # (B, L, gates * u)
+        batch, steps, dim = x.shape
+        live = steps if lengths is None else min(steps, int(np.max(lengths, initial=0)))
+        # the input projection of the live steps, as one flattened product
+        xp = flat_matmul(x[:, :live].reshape(batch * live, dim), W)
+        xp = xp.reshape(batch, live, W.shape[1])
         xp += b
         valid = length_mask(lengths, batch, steps)
         mask = valid.astype(x.dtype)
         state = tuple(np.zeros((batch, self.units), dtype=x.dtype) for _ in range(self.states))
-        live = steps if lengths is None else min(steps, int(np.max(lengths, initial=0)))
         order = range(live - 1, -1, -1) if reverse else range(live)
         outputs = np.zeros((batch, steps, self.units), dtype=x.dtype)
         if train:
@@ -655,7 +696,7 @@ class Bidirectional(Layer):
             dxp[:, t] = da
             d = [p + (1.0 - m) * q for p, q in zip(d_prev, d)]
         dW, db = position_sums(dxp[valid], x[valid])
-        dx = dxp @ W.T
+        dx = flat_matmul(dxp.reshape(batch * steps, -1), W.T).reshape(batch, steps, -1)
         return dx, dW, dU, db
 
     def forward(self, x, lengths, train=False, rng=None):

@@ -88,10 +88,10 @@ INFERENCE_CELLS = 128 * 96
 # in another order (OpenBLAS on AVX-512 does so below 6 rows for cnn's hidden
 # Dense layer at paper size), so no block is smaller.
 MIN_BLOCK_ROWS = 8
-# No batch is cut below 16 columns: a convolution's product over only a few
-# output rows can take another BLAS kernel, which sums in another order
-# (OpenBLAS takes its matrix-vector kernel for one row, and on AVX-512 it
-# did so at a width of 8 at paper size).
+# No batch is cut below 16 columns. Convolutions read no column past a
+# block's windows, so what the floor fixes is the width at which word
+# dropout draws its mask for a training batch: changing it moves trained
+# bytes.
 MIN_WIDTH = 16
 
 

@@ -213,6 +213,16 @@ def test_evaluate_mismatched_ids(train_tsv, tmp_path, capsys):
     assert "missing id" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_duplicate_prediction_id(train_tsv, tmp_path, capsys):
+    # the second row of id 1 used to replace the first and score silently
+    preds = tmp_path / "dup.tsv"
+    rows = [f"{rid}\t1.000000\t{label}" for rid, _, label, _ in TRAIN_ROWS]
+    rows.insert(1, "1\t0.000000\tNOT")
+    preds.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["evaluate", str(preds), str(train_tsv), "--task", "A"]) == EXIT_RUNTIME
+    assert f"{preds}:2: duplicate id '1'" in capsys.readouterr().err
+
+
 def test_evaluate_constant_baseline_matches_published_row(tmp_path, capsys):
     # An all-NOT predictions file against a 620/240 gold split must print the
     # published 0.4189 macro-F1 and 0.7209 accuracy.
@@ -351,6 +361,21 @@ def test_taskb_external_annotations(tmp_path, monkeypatch):
         "taskb", "--data", str(data2), "--lexicon", str(lex),
         "--annotations", str(ann), "--out", str(out),
     ]) == EXIT_RUNTIME
+
+
+def test_taskb_rejects_a_duplicate_annotation_id(tmp_path, capsys):
+    data = write_olid(tmp_path / "b.tsv", [("7", "anything at all", "OFF", "UNT")])
+    ann = tmp_path / "ann.tsv"
+    ann.write_text("7\tyou/PRP are/V scum/OTHER\t-\n7\tnothing/OTHER\t-\n", encoding="utf-8")
+    with pytest.raises(heuristics.AnnotationError, match="duplicate id '7'"):
+        heuristics.load_annotations(ann)
+    lex = tmp_path / "lex.txt"
+    lex.write_text("unrelated\n", encoding="utf-8")
+    assert main([
+        "taskb", "--data", str(data), "--lexicon", str(lex),
+        "--annotations", str(ann), "--out", str(tmp_path / "o.tsv"),
+    ]) == EXIT_RUNTIME
+    assert f"{ann}:2: duplicate id '7'" in capsys.readouterr().err
 
 
 def test_config_flag_precedence(train_tsv, tmp_path):

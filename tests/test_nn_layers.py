@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offlang.nn import (
     AdditiveAttention,
@@ -17,7 +19,7 @@ from offlang.nn import (
     Parameter,
     ShapeError,
 )
-from offlang.nn.layers import sigmoid
+from offlang.nn.layers import ROW_BLOCK, sigmoid
 
 
 def rng(seed=0):
@@ -340,3 +342,84 @@ def test_inference_forward_equals_train_forward_bit_for_bit(layer):
     y_infer, len_infer = layer.forward(x, lengths, train=False)
     assert np.array_equal(y_infer, y_train)
     assert np.array_equal(len_infer, len_train)
+
+
+# Shapes at which OpenBLAS sums each output of a product in one order at any
+# number of rows but one: flattened products of 12 to 64 columns (as at the
+# paper's 192 and 256), and recurrent input gradients over 12 or 16 gate
+# columns. (At paper size that gradient's transposed product of under about
+# 10 rows takes a small-matrix kernel; training runs at least 16 steps.)
+ROW_CASES = {
+    **{f"conv1d_w{w}": (lambda w=w: Conv1D(64, 16, w, rng=rng(30 + w))) for w in (1, 2, 3, 4)},
+    "max_over_time": MaxOverTime,
+    "bilstm": lambda: BiLSTM(64, 4, rng=rng(35)),
+    "bigru": lambda: BiGRU(64, 4, rng=rng(36)),
+}
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _assert_row(alone, row, pinned):
+    """``alone`` equals the start of ``row``, bit for bit on ``pinned`` positions."""
+    assert np.array_equal(alone, row[: len(alone)])
+    assert _bits(alone[:pinned]) == _bits(row[:pinned])
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_each_row_has_the_bytes_it_has_alone(case, data):
+    # a row's outputs and input gradient, in a block of 1 to 20 rows, are
+    # those of the row run alone at its own minimal width; only the padding
+    # of a recurrent layer may be a zero of the other sign. A recurrent step
+    # of one row is a matrix-vector product, so a row of a larger block runs
+    # "alone" beside a copy of itself, as predict_proba fills a short block.
+    layer = ROW_CASES[case]()
+    recurrent = isinstance(layer, (BiLSTM, BiGRU))
+    width = getattr(layer, "width", 1)
+    rows = data.draw(st.integers(1, 20), label="rows")
+    steps = data.draw(st.integers(width, 12), label="steps")
+    lengths = np.array(data.draw(st.lists(st.integers(0, steps), min_size=rows, max_size=rows),
+                                 label="lengths"))
+    gen = rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = gen.normal(size=(rows, steps, 64)).astype(np.float32)
+    y_infer, _ = layer.forward(x, lengths)
+    y_train, _ = layer.forward(x, lengths, train=True)
+    grad = gen.normal(size=y_train.shape).astype(np.float32)
+    dx = layer.backward(grad)
+    copies = [0, 0] if recurrent and rows > 1 else [0]
+    for r in range(rows):
+        own = max(int(lengths[r]), width)  # the row's own minimal width
+        pinned = int(lengths[r]) if recurrent else own
+        out = None if y_train.ndim == 2 else pinned - width + 1
+        alone = (x[r : r + 1, :own][copies], lengths[r : r + 1][copies])
+        _assert_row(layer.forward(*alone)[0][0], y_infer[r], out)
+        y_alone, _ = layer.forward(*alone, train=True)
+        _assert_row(y_alone[0], y_train[r], out)
+        cut = slice(None) if y_train.ndim == 2 else slice(own - width + 1)
+        _assert_row(layer.backward(grad[r : r + 1, cut][copies])[0], dx[r], pinned)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_conv_reads_no_column_past_its_block_span(width):
+    # every block reads only the columns its longest window spans
+    layer = Conv1D(16, 16, width, rng=rng(40))
+    lengths = rng(41).integers(0, 9, size=19)
+    lengths[[3, 12]] = [25, 0]
+    clean = rng(42).normal(size=(19, 30, 16)).astype(np.float32)
+    dirty = clean.copy()
+    for start in range(0, 19, ROW_BLOCK):
+        windows = max(1, int(lengths[start : start + ROW_BLOCK].max()) - width + 1)
+        dirty[start : start + ROW_BLOCK, windows + width - 1 :] = np.nan
+    assert np.isnan(dirty).any()
+    grad = rng(43).normal(size=(19, 30 - width + 1, 16)).astype(np.float32)
+    runs = []
+    for x in (clean, dirty):
+        y_infer, _ = layer.forward(x, lengths)
+        y_train, _ = layer.forward(x, lengths, train=True)
+        runs.append((y_infer, y_train, layer.backward(grad)))
+    for (clean_out, dirty_out) in zip(*runs):
+        assert np.all(np.isfinite(dirty_out))
+        assert _bits(dirty_out) == _bits(clean_out)
