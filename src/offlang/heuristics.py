@@ -13,10 +13,14 @@ Rules run strictly in order, first match wins:
 
 Input tokens are raw (pre-normalization), so hashtags keep their ``#`` and
 mentions their ``@``. The builtin annotator is deliberately naive and can be
-replaced by pre-annotated files from stronger external taggers.
+replaced by pre-annotated files from stronger external taggers. It tags each
+token from the token alone and from whether it starts the tweet, so each
+distinct (token, first or not) pair is annotated once per process and
+remembered, up to ``MEMO_BUDGET`` characters of tokens.
 """
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -94,6 +98,10 @@ class HeuristicLexicon:
     def __post_init__(self):
         object.__setattr__(self, "hashtags", frozenset(self.hashtags))
         object.__setattr__(self, "tokens", frozenset(self.tokens))
+        for item in self.hashtags | self.tokens:
+            # the rules compare lowercased tokens, so any other item could never match
+            if not item or item != item.lower():
+                raise ValueError(f"lexicon items must be lowercase and non-empty: {item!r}")
         for item in self.hashtags:
             if not item.startswith("#"):
                 raise ValueError(f"lexicon hashtag missing '#': {item!r}")
@@ -170,10 +178,18 @@ def _resource_words(name: str) -> frozenset[str]:
     return read_items(resource(name))
 
 
+# The only (POS tag, entity type or None) pairs the builtin annotator gives,
+# shared by every memo entry and every call.
+_UNTYPED = {tag: (tag, None) for tag in POS_TAGS}
+_PROPER = {kind: (POS_NNP, kind) for kind in ENTITY_TYPES}
+
+
 @lru_cache(maxsize=1)
-def _gazetteer() -> dict[str, str]:
-    return dict(line.split("\t") for _, line in read_lines(resource("gazetteer.tsv"))
-                if line.strip())
+def _gazetteer() -> dict[str, tuple[str, str]]:
+    """Each lowercase name's (NNP, entity type) pair."""
+    names = dict(line.split("\t") for _, line in read_lines(resource("gazetteer.tsv"))
+                 if line.strip())
+    return {name: _PROPER[kind] for name, kind in names.items()}
 
 
 def _is_verb(word: str, stems: frozenset[str]) -> bool:
@@ -189,43 +205,69 @@ def _is_verb(word: str, stems: frozenset[str]) -> bool:
     return False
 
 
+# Token annotations remembered for the life of the process, keyed on the token
+# and on whether it starts the tweet, and counted in the characters of their
+# tokens, as ``preprocess`` counts its chunks. Only the empty token has no
+# character, so the memo holds at most MEMO_BUDGET + 2 entries.
+MEMO_BUDGET = 2**18
+_token_memo: dict[tuple[str, bool], tuple[str, str | None]] = {}
+_memo_chars = 0
+_memo_lock = threading.Lock()
+
+
+def _annotate_token(token: str, first: bool) -> tuple[str, str | None]:
+    """The (POS tag, entity type or None) of ``token``, remembered while it fits."""
+    global _memo_chars
+    low = token.lower()
+    capitalized = token[:1].isupper()
+    gazetteer = _gazetteer()
+    if token.startswith("#"):
+        annotation = _UNTYPED[POS_HASHTAG]
+    elif token.startswith("@"):
+        annotation = _UNTYPED[POS_MENTION]
+    elif low in _resource_words("pronouns.txt"):
+        annotation = _UNTYPED[POS_PRP]
+    elif capitalized and low in gazetteer:
+        annotation = gazetteer[low]
+    elif capitalized and not first:
+        annotation = _PROPER["PERSON"]
+    elif _is_verb(low, _resource_words("verb_stems.txt")):
+        annotation = _UNTYPED[POS_V]
+    elif low in _resource_words("nouns.txt"):
+        annotation = _UNTYPED[POS_N]
+    else:
+        annotation = _UNTYPED[POS_OTHER]
+    with _memo_lock:  # a count that lost an update to another thread would break the bound
+        key = (token, first)
+        if key not in _token_memo and _memo_chars + len(token) <= MEMO_BUDGET:
+            _token_memo[key] = annotation
+            _memo_chars += len(token)
+    return annotation
+
+
 def annotate_builtin(tokens: Sequence[str]) -> AnnotatedTweet:
     """Tag tokens with the naive rules and collect single-token entities.
 
     A capitalized token that is not sentence-initial becomes a proper noun
     and a PERSON entity unless the gazetteer assigns another type; gazetteer
     names are promoted regardless of position.
+
+    A token's tag and entity type depend only on the token and on whether it
+    is at position 0, so each (token, position 0 or not) pair is annotated
+    once and its answer reused, while the tokens held stay within
+    ``MEMO_BUDGET`` (2**18) characters: at most about 44 MiB on 64-bit
+    CPython 3.11, where distinct one-character tokens take about 175 bytes
+    per character and five-letter words about 29. A token that no longer
+    fits is annotated on every call. The spans and the tweet are still built
+    through their constructors, so every check still runs.
     """
-    pronouns = _resource_words("pronouns.txt")
-    verbs = _resource_words("verb_stems.txt")
-    nouns = _resource_words("nouns.txt")
-    gazetteer = _gazetteer()
     tags: list[str] = []
     entities: list[EntitySpan] = []
     for i, token in enumerate(tokens):
-        low = token.lower()
-        if token.startswith("#"):
-            tags.append(POS_HASHTAG)
-            continue
-        if token.startswith("@"):
-            tags.append(POS_MENTION)
-            continue
-        if low in pronouns:
-            tags.append(POS_PRP)
-            continue
-        capitalized = token[:1].isupper()
-        if capitalized and low in gazetteer:
-            tags.append(POS_NNP)
-            entities.append(EntitySpan(i, i + 1, gazetteer[low]))
-            continue
-        if capitalized and i > 0:
-            tags.append(POS_NNP)
-            entities.append(EntitySpan(i, i + 1, "PERSON"))
-            continue
-        if _is_verb(low, verbs):
-            tags.append(POS_V)
-            continue
-        tags.append(POS_N if low in nouns else POS_OTHER)
+        tag, kind = _token_memo.get((token, i == 0)) or _annotate_token(token, i == 0)
+        tags.append(tag)
+        if kind is not None:
+            entities.append(EntitySpan(i, i + 1, kind))
     return AnnotatedTweet(tuple(tokens), tuple(tags), tuple(entities))
 
 
@@ -294,9 +336,9 @@ def classify_target(tweet: AnnotatedTweet, lexicon: HeuristicLexicon) -> tuple[s
         label = RULE_LABELS[rule]
         return label, RuleTrace(rule, label)
 
-    if any(t in lexicon.hashtags for t in lows):
+    if not lexicon.hashtags.isdisjoint(lows):
         return fire(1)
-    if any(t in lexicon.tokens for t in lows):
+    if not lexicon.tokens.isdisjoint(lows):
         return fire(2)
     has_entity = bool(tweet.entities)
     has_pronoun = POS_PRP in tweet.pos_tags

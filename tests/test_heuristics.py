@@ -1,7 +1,15 @@
-import pytest
+import sys
+import threading
+from contextlib import contextmanager
 
-from offlang.data import Dataset, DatasetRecord
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from offlang import heuristics
+from offlang.data import Dataset, DatasetRecord, read_items, read_lines, resource
 from offlang.heuristics import (
+    POS_TAGS,
     AnnotatedTweet,
     AnnotationError,
     EntitySpan,
@@ -141,6 +149,22 @@ def test_lexicon_validation_and_file_round_trip(tmp_path):
     assert HeuristicLexicon.from_file(path) == LEX
 
 
+@pytest.mark.parametrize("hashtags,tokens,item", [
+    ({"#MAGA"}, set(), "'#MAGA'"),   # the rules lowercase tokens, so these never match
+    (set(), {"Antifa"}, "'Antifa'"),
+    (set(), {""}, "''"),             # and an empty item does not survive to_file/from_file
+])
+def test_lexicon_rejects_items_that_can_never_match(hashtags, tokens, item):
+    with pytest.raises(ValueError, match=item):
+        HeuristicLexicon(frozenset(hashtags), frozenset(tokens))
+
+
+def test_lexicon_file_items_are_lowercased(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("#MAGA\n  Antifa \nTRUMP\n#QAnon\n", encoding="utf-8")
+    assert HeuristicLexicon.from_file(path) == LEX
+
+
 def test_seed_lexicon_contents():
     lex = seed_lexicon()
     assert "#maga" in lex.hashtags and "#qanon" in lex.hashtags
@@ -212,3 +236,148 @@ def test_external_annotations_bad_file(tmp_path):
     path.write_text("42\ta/N b/BADTAG\t-\n", encoding="utf-8")
     with pytest.raises(AnnotationError):
         load_annotations(path)
+
+
+@contextmanager
+def memo_emptied():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heuristics, "_token_memo", {})
+        patch.setattr(heuristics, "_memo_chars", 0)
+        yield
+
+
+@pytest.fixture
+def empty_memo():
+    with memo_emptied():
+        yield
+
+
+def fresh(tokens):
+    """The builtin annotation of ``tokens`` from an empty memo."""
+    with memo_emptied():
+        return annotate_builtin(tokens)
+
+
+def test_memo_keys_on_the_position_within_one_tweet(empty_memo):
+    out = annotate_builtin(["Zorblat", "met", "Zorblat"])
+    assert out.pos_tags == ("OTHER", "V", "NNP")
+    assert out.entities == (EntitySpan(2, 3, "PERSON"),)
+
+
+@pytest.mark.parametrize("first_tweet", [0, 1])
+def test_memo_keys_on_the_position_across_tweets(empty_memo, first_tweet):
+    tweets = [["Zorblat", "lies"], ["meet", "Zorblat"]]
+    expected = [(("OTHER", "V"), ()), (("V", "NNP"), (EntitySpan(1, 2, "PERSON"),))]
+    for i in (first_tweet, 1 - first_tweet):
+        out = annotate_builtin(tweets[i])
+        assert (out.pos_tags, out.entities) == expected[i]
+    assert set(heuristics._token_memo) == {
+        ("Zorblat", True), ("lies", False), ("meet", True), ("Zorblat", False)}
+
+
+GAZETTEER_NAMES = sorted(line.split("\t")[0] for _, line in read_lines(resource("gazetteer.tsv"))
+                         if line.strip())
+PRONOUNS = sorted(read_items(resource("pronouns.txt")))
+VERB_STEMS = sorted(read_items(resource("verb_stems.txt")))
+
+
+def _verb_forms(stem, suffix):
+    # plain, final-e dropped ("hate" -> "hating") and doubled consonant ("stop" -> "stopped")
+    return st.sampled_from([stem + suffix, stem[:-1] + suffix, stem + stem[-1] + suffix])
+
+
+VERB_FORMS = st.tuples(st.sampled_from(VERB_STEMS), st.sampled_from(["", "ing", "ed", "s"])
+                       ).flatmap(lambda pair: _verb_forms(*pair))
+WORDS = st.one_of(
+    st.sampled_from(GAZETTEER_NAMES),
+    st.sampled_from(PRONOUNS),
+    VERB_FORMS,
+    st.from_regex(r"[A-Z][a-z]{0,8}", fullmatch=True),   # capitalized, mostly unknown
+    st.sampled_from(["Zorblat", "Qux", "Z"]),            # ... and often repeated
+)
+TOKENS = st.one_of(
+    st.tuples(WORDS, st.sampled_from([str, str.capitalize, str.upper, str.lower]))
+    .map(lambda pair: pair[1](pair[0])),
+    WORDS.map("#".__add__),
+    WORDS.map("@".__add__),
+    st.text(max_size=6),
+)
+
+
+@given(st.lists(st.lists(TOKENS, max_size=8), min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_memo_gives_the_fresh_annotation(tweets):
+    with memo_emptied():
+        # the second pass finds every token in the memo
+        memoized = [annotate_builtin(tokens) for tokens in tweets + tweets]
+    assert memoized == [fresh(tokens) for tokens in tweets + tweets]
+
+
+def test_memo_respects_its_budget(empty_memo, monkeypatch):
+    monkeypatch.setattr(heuristics, "MEMO_BUDGET", 10)
+    tweets = [["Zorblat", "is"], ["you", "Zorblat"], ["a", "b"], ["Zorblat", "is", "a"]]
+    for tokens in tweets:
+        assert annotate_builtin(tokens) == fresh(tokens)
+        held = sum(len(token) for token, _ in heuristics._token_memo)
+        assert held == heuristics._memo_chars <= 10
+    # ("you", first) did not fit in the room left; the shorter ("a", first) did
+    assert list(heuristics._token_memo) == [("Zorblat", True), ("is", False), ("a", True)]
+
+
+def test_memo_budget_holds_across_threads(empty_memo, monkeypatch):
+    monkeypatch.setattr(heuristics, "MEMO_BUDGET", 30_000)
+    tokens = [f"w{i}" for i in range(8000)]  # 38,890 characters, more than the budget
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=60)
+        for token in tokens:
+            annotate_builtin(["x", token])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    held = sum(len(token) for token, _ in heuristics._token_memo)
+    assert held == heuristics._memo_chars <= 30_000
+
+
+LOWER_ITEMS = st.text(min_size=1, max_size=4).map(str.lower)
+
+
+@st.composite
+def lexicons_and_tweets(draw):
+    hashtags = draw(st.frozensets(LOWER_ITEMS.map("#".__add__), max_size=4))
+    words = draw(st.frozensets(LOWER_ITEMS.filter(lambda w: not w.startswith("#")), max_size=4))
+    lexicon = HeuristicLexicon(hashtags, words)
+    item = st.sampled_from(sorted(hashtags | words)) if hashtags | words else st.nothing()
+    token = st.one_of(
+        st.tuples(item, st.sampled_from([str, str.upper, str.capitalize]))
+        .map(lambda pair: pair[1](pair[0])),
+        st.text(max_size=4),
+    )
+    tokens = draw(st.lists(token, max_size=6))
+    tags = draw(st.lists(st.sampled_from(POS_TAGS), min_size=len(tokens), max_size=len(tokens)))
+    entity_at = draw(st.sets(st.integers(0, len(tokens) - 1))) if tokens else set()
+    entities = tuple(EntitySpan(i, i + 1, "PERSON") for i in sorted(entity_at))
+    return lexicon, AnnotatedTweet(tuple(tokens), tuple(tags), entities)
+
+
+@given(lexicons_and_tweets())
+@settings(max_examples=500, deadline=None)
+def test_rules_one_and_two_fire_on_a_lowercased_lexicon_token(case):
+    lexicon, tweet = case
+    _, trace = classify_target(tweet, lexicon)
+    if any(t.lower() in lexicon.hashtags for t in tweet.tokens):
+        assert trace.rule_fired == 1
+    elif any(t.lower() in lexicon.tokens for t in tweet.tokens):
+        assert trace.rule_fired == 2
+    else:
+        assert trace.rule_fired not in (1, 2)
