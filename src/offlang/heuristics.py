@@ -27,7 +27,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .data import Dataset, TIN, UNT, read_items, read_lines, resource
+from .data import DataFormatError, Dataset, TIN, UNT, read_items, read_lines, resource
 from .preprocess import HASHTAG, WORD, tokenize
 
 POS_N = "N"
@@ -102,6 +102,9 @@ class HeuristicLexicon:
             # the rules compare lowercased tokens, so any other item could never match
             if not item or item != item.lower():
                 raise ValueError(f"lexicon items must be lowercase and non-empty: {item!r}")
+            # tokens come from the chunks of str.split(), so none holds whitespace
+            if item.split() != [item]:
+                raise ValueError(f"lexicon items must not contain whitespace: {item!r}")
         for item in self.hashtags:
             if not item.startswith("#"):
                 raise ValueError(f"lexicon hashtag missing '#': {item!r}")
@@ -114,7 +117,10 @@ class HeuristicLexicon:
         """One item per line; entries starting with ``#`` are hashtags."""
         items = {item.lower() for item in read_items(path)}
         hashtags = frozenset(item for item in items if item.startswith("#"))
-        return cls(hashtags, frozenset(items - hashtags))
+        try:
+            return cls(hashtags, frozenset(items - hashtags))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
 
     def to_file(self, path: str | Path):
         with Path(path).open("w", encoding="utf-8") as fh:

@@ -15,10 +15,15 @@ Conventions:
     as one flattened GEMM; `Conv1D` and `MaxOverTime` work in blocks of
     `ROW_BLOCK` rows, each cut to its own longest row, so their cost follows
     each block and a convolution reads no column past its block's windows;
-  * no flattened product runs on one row (`flat_matmul`), so a row gets
-    the same bytes in a flattened product of any size; the recurrent step
-    of a one-row batch is still a matrix-vector product, which sums in
-    another order than a step of more rows;
+  * no flattened product and no recurrent step product runs on one row
+    (`flat_matmul`), so a row gets the same bytes in a product of any size,
+    and a one-row batch steps as the same row among other rows;
+  * the recurrent gates use `gate_sigmoid`, 1/2 tanh(z/2) + 1/2, which needs
+    no branch; the output `Dense` keeps the exact two-branch `sigmoid`, since
+    the tanh form is off by up to about 6e-8 near 0 and is exactly 0 below
+    z of about -20, which would spoil small probabilities and the log loss;
+  * a padded step of a recurrent output is +0.0, never -0.0, so a row's
+    padding bytes do not depend on the other rows of its batch;
   * word dropout draws its mask at the shape of the indices the `Embedding`
     gets, so a training batch cut to its longest row draws no mask for
     columns that nothing reads;
@@ -88,6 +93,19 @@ def sigmoid(z):
     e = np.exp(np.minimum(z, -z))
     d = 1.0 + e
     return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def gate_sigmoid(z):
+    """The logistic of a recurrent gate, as 1/2 tanh(z/2) + 1/2.
+
+    One ufunc pass and two in-place ones: no overflow branch and no select.
+    Its absolute error is at most 2**-23 in float32, but it returns exactly 0
+    below z of about -20, so only the gates use it, not output probabilities.
+    """
+    y = np.tanh(z * 0.5)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def length_mask(lengths, batch, steps, min_one=False):
@@ -527,11 +545,11 @@ def _lstm_step(xp_t, state, U):
     """One LSTM step. Gate order: input, forget, cell candidate, output."""
     h, c = state
     units = U.shape[0]
-    a = xp_t + h @ U
-    i = sigmoid(a[:, :units])
-    f = sigmoid(a[:, units : 2 * units])
+    a = xp_t + flat_matmul(h, U)
+    i = gate_sigmoid(a[:, :units])
+    f = gate_sigmoid(a[:, units : 2 * units])
     g = np.tanh(a[:, 2 * units : 3 * units])
-    o = sigmoid(a[:, 3 * units :])
+    o = gate_sigmoid(a[:, 3 * units :])
     c_new = f * c + i * g
     tc = np.tanh(c_new)
     return (o * tc, c_new), (i, f, g, o, tc, h, c)
@@ -550,7 +568,7 @@ def _lstm_step_backward(d_new, saved, U, dU):
         axis=1,
     )
     dU += h_prev.T @ da
-    return da, (da @ U.T, dc_total * f)
+    return da, (flat_matmul(da, U.T), dc_total * f)
 
 
 def _gru_step(xp_t, state, U):
@@ -560,9 +578,9 @@ def _gru_step(xp_t, state, U):
     """
     (h,) = state
     units = U.shape[0]
-    z = sigmoid(xp_t[:, :units] + h @ U[:, :units])
-    r = sigmoid(xp_t[:, units : 2 * units] + h @ U[:, units : 2 * units])
-    n = np.tanh(xp_t[:, 2 * units :] + (r * h) @ U[:, 2 * units :])
+    z = gate_sigmoid(xp_t[:, :units] + flat_matmul(h, U[:, :units]))
+    r = gate_sigmoid(xp_t[:, units : 2 * units] + flat_matmul(h, U[:, units : 2 * units]))
+    n = np.tanh(xp_t[:, 2 * units :] + flat_matmul(r * h, U[:, 2 * units :]))
     return (z * h + (1.0 - z) * n,), (z, r, n, h)
 
 
@@ -574,7 +592,7 @@ def _gru_step_backward(d_new, saved, U, dU):
     dn = dh_new * (1.0 - z)
     dhp = dh_new * z
     dan = dn * (1.0 - n * n)
-    drh = dan @ U[:, 2 * units :].T
+    drh = flat_matmul(dan, U[:, 2 * units :].T)
     dU[:, 2 * units :] += (r * h_prev).T @ dan
     dr = drh * h_prev
     dhp = dhp + drh * r
@@ -582,7 +600,7 @@ def _gru_step_backward(d_new, saved, U, dU):
     dar = dr * r * (1.0 - r)
     dU[:, :units] += h_prev.T @ daz
     dU[:, units : 2 * units] += h_prev.T @ dar
-    dhp = dhp + daz @ U[:, :units].T + dar @ U[:, units : 2 * units].T
+    dhp = dhp + flat_matmul(daz, U[:, :units].T) + flat_matmul(dar, U[:, units : 2 * units].T)
     return np.concatenate([daz, dar, dan], axis=1), (dhp,)
 
 
@@ -608,6 +626,12 @@ class Bidirectional(Layer):
     through its padding with the carry. The input weight and bias gradients
     sum over the valid steps only (``position_sums``), so the bytes of every
     gradient are those of the same batch at any padded width.
+
+    Both cells take their gates through ``gate_sigmoid`` and every step
+    product through ``flat_matmul``, so a one-row batch (a last training
+    batch of one row) gets the bytes of the same row among other rows. A
+    padded step leaves its output at +0.0, so padding bytes are the same in
+    any batch.
 
     ``dropout`` zeroes input connections with one mask per direction shared
     across timesteps (training only). ``return_sequences`` selects the full
@@ -675,7 +699,7 @@ class Bidirectional(Layer):
             if train:
                 saved[t] = values
             state = tuple(m * n + (1.0 - m) * s for n, s in zip(new, state))
-            outputs[:, t] = m * new[0]
+            np.copyto(outputs[:, t], new[0], where=valid[:, t : t + 1])
         return outputs, state[0], ((saved, valid, order) if train else None)
 
     def _direction_backward(self, douts, dh_final, cache, x, W, U):

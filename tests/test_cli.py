@@ -338,6 +338,31 @@ def test_taskb_missing_lexicon(train_tsv, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_taskb_rejects_a_lexicon_item_with_whitespace(tmp_path, capsys):
+    # no token holds whitespace, so the item could never match
+    data = write_olid(tmp_path / "b.tsv", [("10", "foo bar baz", "OFF", "UNT")])
+    lex = tmp_path / "lex.txt"
+    lex.write_text("#maga\nfoo bar\n", encoding="utf-8")
+    out = tmp_path / "o.tsv"
+    assert main(["taskb", "--data", str(data), "--lexicon", str(lex),
+                 "--out", str(out)]) == EXIT_RUNTIME
+    assert "'foo bar'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_lexicon_output_holds_no_whitespace_and_loads(tmp_path):
+    # words apart by any whitespace str.split() knows become separate items
+    data = write_olid(tmp_path / "train.tsv", [
+        ("1", "#maga rally tonight", "OFF", "TIN"),
+        ("2", "rally  tonight\u3000#maga", "OFF", "TIN"),
+    ])
+    lex = tmp_path / "lex.txt"
+    assert main(["build-lexicon", "--data", str(data), "--out", str(lex), "--k", "5"]) == EXIT_OK
+    assert lex.read_text(encoding="utf-8") == "#maga\nrally\ntonight\n"
+    assert main(["taskb", "--data", str(data), "--lexicon", str(lex),
+                 "--out", str(tmp_path / "o.tsv")]) == EXIT_OK
+
+
 def test_taskb_external_annotations(tmp_path, monkeypatch):
     def no_tokenizer(text):
         raise AssertionError("an annotation table needs no tokens")

@@ -30,8 +30,9 @@ GOLDEN_TRAINING = {
     "blstm_bgru": (
         [0.7233791053295135, 0.5283175632357597],
         [0.6587640277921692, 0.24729590070709018],
-        [0.4205110073, 0.0690611154, 0.7388721704, 0.1433336139, 0.8196886182, 0.2124069333,
-         0.5915567279, 0.3071479797, 0.9769852161, 0.0838840455, 0.9288219213, 0.0564369746],
+        # re-recorded when the recurrent gates moved to 1/2 tanh(z/2) + 1/2
+        [0.4205121398, 0.0690614283, 0.7388730049, 0.1433339715, 0.8196886778, 0.212407276,
+         0.5915569663, 0.3071480989, 0.9769852161, 0.0838844031, 0.9288217425, 0.05643728],
     ),
 }
 

@@ -19,7 +19,7 @@ from offlang.nn import (
     Parameter,
     ShapeError,
 )
-from offlang.nn.layers import ROW_BLOCK, sigmoid
+from offlang.nn.layers import ROW_BLOCK, gate_sigmoid, sigmoid
 
 
 def rng(seed=0):
@@ -130,6 +130,31 @@ def test_sigmoid_equals_the_two_branch_formula_bit_for_bit(dtype):
             want = two_branch_sigmoid(z)
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (batch, k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gate_sigmoid_is_within_one_float32_step_of_the_logistic(dtype):
+    # the specials of the two-branch test above
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                         1e4, -1e4, 88.8, -88.8, 710.0, -746.0, 1e-30, -1e-30])
+    r = rng(12)
+    cases = [np.linspace(-40.0, 40.0, 200_001).astype(dtype)]
+    for batch in (1, 5, 32, 128):
+        scale = np.array([1.0, 10.0, 100.0, 1e4])[r.integers(0, 4, size=(batch, 1))]
+        gates = (r.normal(size=(batch, 4 * 16)) * scale).astype(dtype)
+        gates.flat[: specials.size] = specials
+        # strided column slices, as the LSTM and GRU steps pass their gates
+        cases += [gates[:, 16 * k : 16 * (k + 1)] for k in range(4)]
+    for z in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = gate_sigmoid(z)
+        assert got.dtype == dtype and got.shape == z.shape
+        nan = np.isnan(z)
+        assert np.array_equal(np.isnan(got), nan)
+        got, want = got[~nan].astype(np.float64), two_branch_sigmoid(z[~nan].astype(np.float64))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.max(np.abs(got - want)) <= 2.0**-23
 
 
 def test_one_unit_dense_row_does_not_depend_on_the_other_rows():
@@ -345,10 +370,11 @@ def test_inference_forward_equals_train_forward_bit_for_bit(layer):
 
 
 # Shapes at which OpenBLAS sums each output of a product in one order at any
-# number of rows but one: flattened products of 12 to 64 columns (as at the
-# paper's 192 and 256), and recurrent input gradients over 12 or 16 gate
-# columns. (At paper size that gradient's transposed product of under about
-# 10 rows takes a small-matrix kernel; training runs at least 16 steps.)
+# number of rows (a one-row product runs doubled, `flat_matmul`): flattened
+# products of 12 to 64 columns (as at the paper's 192 and 256), recurrent
+# steps of 4 units, and recurrent input gradients over 12 or 16 gate columns.
+# (At paper size that gradient's transposed product of under about 10 rows
+# takes a small-matrix kernel; training runs at least 16 steps.)
 ROW_CASES = {
     **{f"conv1d_w{w}": (lambda w=w: Conv1D(64, 16, w, rng=rng(30 + w))) for w in (1, 2, 3, 4)},
     "max_over_time": MaxOverTime,
@@ -361,10 +387,9 @@ def _bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def _assert_row(alone, row, pinned):
-    """``alone`` equals the start of ``row``, bit for bit on ``pinned`` positions."""
-    assert np.array_equal(alone, row[: len(alone)])
-    assert _bits(alone[:pinned]) == _bits(row[:pinned])
+def _assert_row(alone, row):
+    """``alone`` equals the start of ``row``, bit for bit."""
+    assert _bits(alone) == _bits(row[: len(alone)])
 
 
 @pytest.mark.parametrize("case", sorted(ROW_CASES))
@@ -372,12 +397,9 @@ def _assert_row(alone, row, pinned):
 @given(data=st.data())
 def test_each_row_has_the_bytes_it_has_alone(case, data):
     # a row's outputs and input gradient, in a block of 1 to 20 rows, are
-    # those of the row run alone at its own minimal width; only the padding
-    # of a recurrent layer may be a zero of the other sign. A recurrent step
-    # of one row is a matrix-vector product, so a row of a larger block runs
-    # "alone" beside a copy of itself, as predict_proba fills a short block.
+    # those of the row run alone at its own minimal width, bit for bit, the
+    # padding of a recurrent layer (+0.0) included
     layer = ROW_CASES[case]()
-    recurrent = isinstance(layer, (BiLSTM, BiGRU))
     width = getattr(layer, "width", 1)
     rows = data.draw(st.integers(1, 20), label="rows")
     steps = data.draw(st.integers(width, 12), label="steps")
@@ -389,17 +411,35 @@ def test_each_row_has_the_bytes_it_has_alone(case, data):
     y_train, _ = layer.forward(x, lengths, train=True)
     grad = gen.normal(size=y_train.shape).astype(np.float32)
     dx = layer.backward(grad)
-    copies = [0, 0] if recurrent and rows > 1 else [0]
     for r in range(rows):
         own = max(int(lengths[r]), width)  # the row's own minimal width
-        pinned = int(lengths[r]) if recurrent else own
-        out = None if y_train.ndim == 2 else pinned - width + 1
-        alone = (x[r : r + 1, :own][copies], lengths[r : r + 1][copies])
-        _assert_row(layer.forward(*alone)[0][0], y_infer[r], out)
+        alone = (x[r : r + 1, :own], lengths[r : r + 1])
+        _assert_row(layer.forward(*alone)[0][0], y_infer[r])
         y_alone, _ = layer.forward(*alone, train=True)
-        _assert_row(y_alone[0], y_train[r], out)
+        _assert_row(y_alone[0], y_train[r])
         cut = slice(None) if y_train.ndim == 2 else slice(own - width + 1)
-        _assert_row(layer.backward(grad[r : r + 1, cut][copies])[0], dx[r], pinned)
+        _assert_row(layer.backward(grad[r : r + 1, cut])[0], dx[r])
+
+
+@pytest.mark.parametrize("make", [lambda g: BiLSTM(200, 64, rng=g),
+                                  lambda g: BiGRU(128, 64, rng=g)], ids=["bilstm", "bigru"])
+def test_one_row_batch_at_paper_size_has_the_bytes_of_a_row_among_others(make):
+    # a last training batch of one row (n_train % batch_size == 1) steps as
+    # row 0 of a block of 8 copies: outputs and input gradient, bit for bit
+    for seed in range(20):
+        gen = rng(seed)
+        layer = make(gen)
+        x = gen.normal(size=(1, 16, layer.in_dim)).astype(np.float32)
+        lengths = gen.integers(1, 17, size=1)
+        block = (x[[0] * 8], lengths[[0] * 8])
+        one = layer.forward(x, lengths)[0]
+        assert _bits(one[0]) == _bits(layer.forward(*block)[0][0]), seed
+        one = layer.forward(x, lengths, train=True)[0]
+        grad = gen.normal(size=one.shape).astype(np.float32)
+        dx = layer.backward(grad)
+        many = layer.forward(*block, train=True)[0]
+        assert _bits(one[0]) == _bits(many[0]), seed
+        assert _bits(dx[0]) == _bits(layer.backward(grad[[0] * 8])[0]), seed
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])

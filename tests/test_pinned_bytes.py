@@ -30,10 +30,10 @@ ARCHS = ("cnn", "blstm-att", "blstm-bgru")
 
 PINS = {
     "SkylakeX": {
-        "blstm-att.bin": "2b00f149c93f1f41ac6bfc5542eda5649ef10b84c217f6f083935b1cf029ecaa",
+        "blstm-att.bin": "0c4cb0c91f5feaefb473ec88170def8dc404f9d5060649458123b96cedec0e4d",
         "blstm-att.bin.history.json":
-            "a30c4d790ca691d3785cd50ac98e96630cddfa0f6f3f3c86790a1fb123d50773",
-        "blstm-bgru.bin": "5392a7ba2f2d77944f31180e09f77c07f2e60212bb4bef08f882fe1836e77dd2",
+            "143f39652de998441b0f91ea36d6af44c917cf247576980ebfcdc8f1e87cf728",
+        "blstm-bgru.bin": "e75ffc8720ed1f3b2f26ad4a53e31c275d85f3b08fde4003c9b5cbac0471abb5",
         "blstm-bgru.bin.history.json":
             "ee3fe01437079bf9ebf42df2731a0507520242eb765466e76c03235d39f5e95e",
         "cnn.bin": "0ddb8727bbf2212640aa5f600075c03b25915130a956d64632352a51d307b344",
