@@ -6,18 +6,22 @@ Conventions:
     padding and are excluded from pooling and attention;
   * a fully padded row falls back to position 0 so reductions never see an
     empty window;
-  * recurrent layers carry state through padded steps unchanged, so outputs
-    do not depend on the amount of padding; the one masked time loop of
-    `Bidirectional` does this for both the LSTM and the GRU cell, and stops
-    at the batch's longest row, since the steps after it are padding in
-    every row;
-  * the input projection of `Bidirectional` covers only those first steps,
+  * recurrent layers read and step only the valid positions, packed: the
+    one time loop of `Bidirectional`, for both the LSTM and the GRU cell,
+    orders the rows longest first and runs step t on the rows still inside
+    their sequence, so a row's state ends at its last step, padding is never
+    read, and outputs do not depend on the amount of padding; the input
+    projection and the input gradient cover the packed positions only, each
     as one flattened GEMM; `Conv1D` and `MaxOverTime` work in blocks of
     `ROW_BLOCK` rows, each cut to its own longest row, so their cost follows
     each block and a convolution reads no column past its block's windows;
-  * no flattened product and no recurrent step product runs on one row
-    (`flat_matmul`), so a row gets the same bytes in a product of any size,
-    and a one-row batch steps as the same row among other rows;
+  * OpenBLAS multiplies one row, and a few rows by a transposed (or, at some
+    shapes, a contiguous) matrix, with other kernels than more rows, which
+    sum in another order; so no product runs on one row (`flat_matmul`), the
+    backward products multiply by contiguous copies of the transposes, and
+    an input gradient runs on at least `GRAD_ROWS` rows: with the SkylakeX
+    kernels, a row of a recurrent layer or of a paper-size `Dense` gets the
+    same bytes in a batch of any size (other cores have other bounds);
   * the recurrent gates use `gate_sigmoid`, 1/2 tanh(z/2) + 1/2, which needs
     no branch; the output `Dense` keeps the exact two-branch `sigmoid`, since
     the tanh form is off by up to about 6e-8 near 0 and is exactly 0 below
@@ -56,6 +60,11 @@ import numpy as np
 # (At some other column counts, 100 or 200 among them, a product of a few
 # rows takes OpenBLAS's small-matrix kernel, which sums in another order.)
 ROW_BLOCK = 8
+# Rows below which OpenBLAS multiplies by some contiguous matrices with another
+# kernel than by the same matrix in a product of more rows: an input gradient
+# (`Dense`, `Bidirectional`) runs on at least this many rows. At 256 -> 200,
+# the BiLSTM's input gradient, that kernel takes products of up to 19 rows.
+GRAD_ROWS = 20
 # Rows per partial sum in `position_sums`. OpenBLAS (SkylakeX AVX-512
 # kernels) sums a GEMM's inner dimension in an order that depends on the
 # thread count for some lengths above 448; at 256 and below it does not.
@@ -142,17 +151,36 @@ def position_sums(grad, x=None):
     return weight, total
 
 
-def flat_matmul(a, b):
-    """``a @ b`` for a 2-D ``a``, never run as a one-row product.
+def flat_matmul(a, b, min_rows=2):
+    """``a @ b`` for a 2-D ``a``, run as a product of at least ``min_rows`` rows.
 
-    OpenBLAS multiplies one row with its matrix-vector kernel, which sums in
-    another order than its GEMM kernel, so a one-row ``a`` runs doubled and
-    the copy is dropped: each row gets the bytes it gets in a product of more
-    rows.
+    OpenBLAS multiplies one row with its matrix-vector kernel, and a few rows
+    by some matrices with a small-matrix kernel, and both sum in another order
+    than its GEMM kernel. So a shorter ``a`` runs padded with zero rows, which
+    are dropped: each row gets the bytes it gets in a product of more rows.
     """
-    if len(a) == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
+    if 0 < len(a) < min_rows:
+        pad = np.zeros((min_rows - len(a), a.shape[1]), dtype=a.dtype)
+        return (np.concatenate([a, pad]) @ b)[: len(a)]
     return a @ b
+
+
+def packed_layout(valid):
+    """The packed layout of the valid positions of a (batch, steps) mask.
+
+    Returns ``(rows, active, starts, r_idx, t_idx)``: ``rows`` orders the rows
+    longest first, so the rows inside their sequence at step t are
+    ``rows[:active[t]]``, for each step up to the longest row. The valid
+    positions are packed step by step, each step's rows in ``rows`` order:
+    step t's positions are ``starts[t]`` to ``starts[t] + active[t]``, and
+    packed position i is (``r_idx[i]``, ``t_idx[i]``) of the batch.
+    """
+    counts = valid.sum(axis=1)
+    rows = np.argsort(-counts, kind="stable")
+    active = valid[:, : counts.max(initial=0)].sum(axis=0)
+    starts = np.cumsum(active) - active
+    t_idx, j_idx = np.nonzero(valid[rows, : len(active)].T)
+    return rows, active, starts, rows[j_idx], t_idx
 
 
 def dropout_mask(rng, shape, rate, dtype):
@@ -315,7 +343,8 @@ class Dense(Layer):
             # other rows of the batch; an elementwise row sum does not
             z = (x * self.weights.value[:, 0]).sum(axis=-1, keepdims=True) + self.bias.value
         else:
-            z = x @ self.weights.value + self.bias.value
+            z = flat_matmul(x.reshape(-1, self.in_dim), self.weights.value)
+            z = z.reshape(*x.shape[:-1], self.units) + self.bias.value
         if self.activation == "relu":
             y = np.maximum(z, 0)
         elif self.activation == "sigmoid":
@@ -340,7 +369,8 @@ class Dense(Layer):
         flat_dz = dz.reshape(-1, self.units)
         self.weights.grad += flat_x.T @ flat_dz
         self.bias.grad += flat_dz.sum(axis=0)
-        return dz @ self.weights.value.T
+        dx = flat_matmul(flat_dz, np.ascontiguousarray(self.weights.value.T), GRAD_ROWS)
+        return dx.reshape(*dz.shape[:-1], self.in_dim)
 
 
 class Conv1D(Layer):
@@ -555,7 +585,7 @@ def _lstm_step(xp_t, state, U):
     return (o * tc, c_new), (i, f, g, o, tc, h, c)
 
 
-def _lstm_step_backward(d_new, saved, U, dU):
+def _lstm_step_backward(d_new, saved, UT, dU):
     dh_new, dc_new = d_new
     i, f, g, o, tc, h_prev, c_prev = saved
     do = dh_new * tc
@@ -568,7 +598,7 @@ def _lstm_step_backward(d_new, saved, U, dU):
         axis=1,
     )
     dU += h_prev.T @ da
-    return da, (flat_matmul(da, U.T), dc_total * f)
+    return da, (flat_matmul(da, UT), dc_total * f)
 
 
 def _gru_step(xp_t, state, U):
@@ -584,15 +614,15 @@ def _gru_step(xp_t, state, U):
     return (z * h + (1.0 - z) * n,), (z, r, n, h)
 
 
-def _gru_step_backward(d_new, saved, U, dU):
+def _gru_step_backward(d_new, saved, UT, dU):
     (dh_new,) = d_new
     z, r, n, h_prev = saved
-    units = U.shape[0]
+    units = UT.shape[1]
     dz = dh_new * (h_prev - n)
     dn = dh_new * (1.0 - z)
     dhp = dh_new * z
     dan = dn * (1.0 - n * n)
-    drh = flat_matmul(dan, U[:, 2 * units :].T)
+    drh = flat_matmul(dan, UT[2 * units :])
     dU[:, 2 * units :] += (r * h_prev).T @ dan
     dr = drh * h_prev
     dhp = dhp + drh * r
@@ -600,7 +630,7 @@ def _gru_step_backward(d_new, saved, U, dU):
     dar = dr * r * (1.0 - r)
     dU[:, :units] += h_prev.T @ daz
     dU[:, units : 2 * units] += h_prev.T @ dar
-    dhp = dhp + flat_matmul(daz, U[:, :units].T) + flat_matmul(dar, U[:, units : 2 * units].T)
+    dhp = dhp + flat_matmul(daz, UT[:units]) + flat_matmul(dar, UT[units : 2 * units])
     return np.concatenate([daz, dar, dan], axis=1), (dhp,)
 
 
@@ -612,26 +642,34 @@ class Bidirectional(Layer):
     ``states`` (state arrays, the output state first), ``saved`` (per-step
     arrays the backward pass reads), ``initial_bias``, and the
     gate math: ``step(xp_t, state, U)`` returns the new state and the saved
-    arrays, and ``step_backward(d_new, saved, U, dU)`` returns the gradient
-    of the gate pre-activations and of the previous state, adding into
-    ``dU``. Everything else is written once here, for both cells: the input
-    projection, the length mask, the step order, the weight-gradient sums,
-    and the carry of every state (and its gradient) unchanged through padded
-    steps, so outputs do not depend on the amount of padding.
+    arrays, and ``step_backward(d_new, saved, UT, dU)``, with ``UT`` a
+    contiguous copy of ``U.T``, returns the gradient of the gate
+    pre-activations and of the previous state, adding into ``dU``.
+    Everything else is written once here, for both cells: the input
+    projection, the packed layout, the step order and the weight-gradient
+    sums.
 
-    The time loop, and the input projection before it, run only over the
-    batch's first ``max(lengths)`` steps: after them every row is padding,
-    and a step would only carry the states and their gradients through and
-    add zeros. Inside the loop, a row shorter than the longest still steps
-    through its padding with the carry. The input weight and bias gradients
-    sum over the valid steps only (``position_sums``), so the bytes of every
-    gradient are those of the same batch at any padded width.
+    A direction touches only the valid (row, step) positions, in the packed
+    layout of cuDNN and ``torch.nn.utils.rnn.pack_padded_sequence``
+    (``packed_layout``): the rows are ordered longest first, and step t runs
+    on the first ``active[t]`` of them, the rows still inside their
+    sequence. A row that has ended is never stepped again, which carries its
+    state (and, backward, its state's gradient) unchanged; the input
+    projection, the saved values and the input gradient cover the packed
+    positions only, and the outputs are scattered back once, with padding
+    left at +0.0. Backward, each step runs its rows in the batch's order, so
+    ``dU`` adds them as a step over every row would, and the input weight
+    and bias gradients sum over the valid positions in (row, step) order
+    (``position_sums``): every gradient has the bytes of the same batch at
+    any padded width, and padding, NaN or not, changes no byte.
 
-    Both cells take their gates through ``gate_sigmoid`` and every step
-    product through ``flat_matmul``, so a one-row batch (a last training
-    batch of one row) gets the bytes of the same row among other rows. A
-    padded step leaves its output at +0.0, so padding bytes are the same in
-    any batch.
+    Both cells take their gates through ``gate_sigmoid``. Every step product
+    runs through ``flat_matmul``, and the backward ones multiply by the
+    contiguous ``UT``: OpenBLAS multiplies up to 18 rows by a transposed
+    view with another kernel, so a step's bytes would depend on how many
+    rows are still active. The input gradient runs on at least
+    ``GRAD_ROWS`` rows. So, with the SkylakeX kernels, a row gets the same
+    bytes in a batch of any size.
 
     ``dropout`` zeroes input connections with one mask per direction shared
     across timesteps (training only). ``return_sequences`` selects the full
@@ -678,49 +716,63 @@ class Bidirectional(Layer):
 
     def _direction_forward(self, x, lengths, W, U, b, reverse, train):
         """(outputs, final output state, cache) of one direction; only a
-        train-mode call fills the (steps, saved, batch, units) buffer that
+        train-mode call fills the packed (saved, positions, units) buffer that
         ``_direction_backward`` reads, otherwise the cache is None."""
-        batch, steps, dim = x.shape
-        live = steps if lengths is None else min(steps, int(np.max(lengths, initial=0)))
-        # the input projection of the live steps, as one flattened product
-        xp = flat_matmul(x[:, :live].reshape(batch * live, dim), W)
-        xp = xp.reshape(batch, live, W.shape[1])
-        xp += b
+        batch, steps, _ = x.shape
         valid = length_mask(lengths, batch, steps)
-        mask = valid.astype(x.dtype)
+        rows, active, starts, r_idx, t_idx = packed_layout(valid)
+        xp = flat_matmul(x[r_idx, t_idx], W) + b
+        # the states are kept in `rows` order: step t runs on their first
+        # active[t] rows, and a row that has ended is never stepped again
         state = tuple(np.zeros((batch, self.units), dtype=x.dtype) for _ in range(self.states))
-        order = range(live - 1, -1, -1) if reverse else range(live)
-        outputs = np.zeros((batch, steps, self.units), dtype=x.dtype)
+        order = range(len(active) - 1, -1, -1) if reverse else range(len(active))
+        out = np.empty((len(xp), self.units), dtype=x.dtype)
         if train:
-            saved = np.empty((steps, self.saved, batch, self.units), dtype=x.dtype)
+            saved = np.empty((self.saved, len(xp), self.units), dtype=x.dtype)
         for t in order:
-            m = mask[:, t : t + 1]
-            new, values = self.step(xp[:, t], state, U)
-            if train:
-                saved[t] = values
-            state = tuple(m * n + (1.0 - m) * s for n, s in zip(new, state))
-            np.copyto(outputs[:, t], new[0], where=valid[:, t : t + 1])
-        return outputs, state[0], ((saved, valid, order) if train else None)
+            k = active[t]
+            at = slice(starts[t], starts[t] + k)
+            new, values = self.step(xp[at], tuple(h[:k] for h in state), U)
+            if train:  # before the new state overwrites the previous one
+                saved[:, at] = values
+            for h, n in zip(state, new):
+                h[:k] = n
+            out[at] = new[0]
+        outputs = np.zeros((batch, steps, self.units), dtype=x.dtype)
+        outputs[r_idx, t_idx] = out
+        final = np.empty_like(state[0])
+        final[rows] = state[0]
+        return outputs, final, ((saved, valid, order) if train else None)
 
     def _direction_backward(self, douts, dh_final, cache, x, W, U):
         """(dx, dW, dU, db) of one direction, from the upstream gradients of
         its outputs (``douts``) and of its final output state."""
         saved, valid, order = cache
-        mask = valid.astype(x.dtype)
-        batch, steps, _ = x.shape
-        dxp = np.zeros((batch, steps, W.shape[1]), dtype=x.dtype)
+        rows, active, starts, r_idx, t_idx = packed_layout(valid)
+        dout = douts[r_idx, t_idx]
+        dxp = np.empty((len(dout), W.shape[1]), dtype=x.dtype)
         dU = np.zeros_like(U)
-        d = [np.zeros((batch, self.units), dtype=x.dtype) for _ in range(self.states)]
+        UT = np.ascontiguousarray(U.T)
+        d = [np.zeros((len(rows), self.units), dtype=x.dtype) for _ in range(self.states)]
         if dh_final is not None:
-            d[0] = dh_final
+            d[0] = dh_final[rows]
+        # a step runs its rows in the batch's order, so dU adds them in the
+        # order of a step over every row, where the ended rows add exact zeros
+        perms = {}
         for t in reversed(order):
-            m = mask[:, t : t + 1]
-            d_new = (m * (douts[:, t] + d[0]), *(m * ds for ds in d[1:]))
-            da, d_prev = self.step_backward(d_new, saved[t], U, dU)
-            dxp[:, t] = da
-            d = [p + (1.0 - m) * q for p, q in zip(d_prev, d)]
-        dW, db = position_sums(dxp[valid], x[valid])
-        dx = flat_matmul(dxp.reshape(batch * steps, -1), W.T).reshape(batch, steps, -1)
+            k = active[t]
+            if k not in perms:
+                perms[k] = np.argsort(rows[:k])
+            perm = perms[k]
+            at = starts[t] + perm
+            d_new = (dout[at] + d[0][perm], *(ds[perm] for ds in d[1:]))
+            da, d_prev = self.step_backward(d_new, saved[:, at], UT, dU)
+            dxp[at] = da
+            for ds, p in zip(d, d_prev):
+                ds[perm] = p
+        dW, db = position_sums(dxp[np.lexsort((t_idx, r_idx))], x[valid])
+        dx = np.zeros(x.shape, dtype=x.dtype)
+        dx[r_idx, t_idx] = flat_matmul(dxp, np.ascontiguousarray(W.T), GRAD_ROWS)
         return dx, dW, dU, db
 
     def forward(self, x, lengths, train=False, rng=None):

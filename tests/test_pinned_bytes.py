@@ -7,7 +7,9 @@ every file written must match the pins recorded for the OpenBLAS core the
 run uses: kernels for another core may sum in another order, so on a core
 with no pins that test skips and names the core. ``build-lexicon`` and a
 ``taskb`` with that lexicon run no BLAS code, so their pins hold on every
-core.
+core. ``OPENBLAS_CORETYPE=Haswell`` makes OpenBLAS run (and report) its
+Haswell kernels on any x86-64 host, so the ``Haswell`` pins can be checked
+anywhere.
 
 A change that keeps the bytes leaves ``PINS`` and ``TASKB_PINS`` alone; a
 change of behaviour updates them, and says which files moved.
@@ -30,14 +32,25 @@ ARCHS = ("cnn", "blstm-att", "blstm-bgru")
 
 PINS = {
     "SkylakeX": {
-        "blstm-att.bin": "0c4cb0c91f5feaefb473ec88170def8dc404f9d5060649458123b96cedec0e4d",
+        "blstm-att.bin": "ad9cf73249b104f9c5394e75f048332f307bc768f5a389b03a9f2a1ec96a7c93",
         "blstm-att.bin.history.json":
             "143f39652de998441b0f91ea36d6af44c917cf247576980ebfcdc8f1e87cf728",
-        "blstm-bgru.bin": "e75ffc8720ed1f3b2f26ad4a53e31c275d85f3b08fde4003c9b5cbac0471abb5",
+        "blstm-bgru.bin": "9254b86f9167eeb2934a38bb45561ada80e4993e932727d9e4ae3854d4aa0a79",
         "blstm-bgru.bin.history.json":
-            "ee3fe01437079bf9ebf42df2731a0507520242eb765466e76c03235d39f5e95e",
+            "bd4d6282afd9829a3acb4f9433b477f0a4b00d1274ecf5c774b6b94edd28e3f9",
         "cnn.bin": "0ddb8727bbf2212640aa5f600075c03b25915130a956d64632352a51d307b344",
         "cnn.bin.history.json": "843e27f5fabd43c03862790a4c9d6741a883669b973962eaa90ab52ac9975c76",
+        "preds.tsv": "973a535b8cec46b3e9572bf0918d5aa14170048c94cc6b03939717107acea975",
+    },
+    "Haswell": {
+        "blstm-att.bin": "1f8baa9c77b977bba783d0f06aa2b35666d318c5753b447512379bef2bb212d8",
+        "blstm-att.bin.history.json":
+            "859db7a5eb96f4b70a672cf2b3bde1284664aa04634496642d3fdcb1f0a3f4a1",
+        "blstm-bgru.bin": "2ee201c13ed11d712a87292bc90c29a4265c2f5cf2c6b1d99adfa1c2c8eb4e59",
+        "blstm-bgru.bin.history.json":
+            "6099ecd3c1adca69cc7bb0705492120e7c3bc55e51e0a36963fd58550591a745",
+        "cnn.bin": "6d91e8beb7f77d4d54b7e21526384b57a9e1c13c21418942965b29e5ea8c513d",
+        "cnn.bin.history.json": "a21b892f700e3a45f6a9f9c9b12c7640fa972eb3b7ef40f5f43b4db118eb5dae",
         "preds.tsv": "973a535b8cec46b3e9572bf0918d5aa14170048c94cc6b03939717107acea975",
     },
 }
